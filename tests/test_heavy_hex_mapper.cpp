@@ -111,5 +111,102 @@ TEST(HeavyHex, DepthConstantNearFiveN) {
   EXPECT_LE(constant, 6.0);
 }
 
+// Golden stream: the exact emission, pinned. Values were captured from the
+// reference implementation; any rewrite of the round loop, the movement
+// veto or the device path must reproduce every gate, both mappings, the
+// depth (streamed and fused) and the counts bit for bit.
+std::uint64_t mapping_hash(const std::vector<PhysicalQubit>& m) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (PhysicalQubit p : m) {
+    h ^= static_cast<std::uint32_t>(p);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct GoldenStream {
+  std::uint64_t fingerprint;
+  std::uint64_t initial;
+  std::uint64_t final_mapping;
+  Cycle depth;
+  std::int64_t h;
+  std::int64_t cphase;
+  std::int64_t swap;
+};
+
+void expect_golden(const MappedCircuit& mc, const CouplingGraph& g,
+                   const verify::EmitAudit& audit, const GoldenStream& want) {
+  EXPECT_EQ(mc.circuit.fingerprint(), want.fingerprint);
+  EXPECT_EQ(mapping_hash(mc.initial), want.initial);
+  EXPECT_EQ(mapping_hash(mc.final_mapping), want.final_mapping);
+  const auto r = check_qft_mapping(mc, g);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.depth, want.depth);
+  ASSERT_TRUE(audit.engaged);
+  ASSERT_TRUE(audit.result.ok) << audit.result.error;
+  EXPECT_EQ(audit.result.depth, want.depth);
+  const GateCounts gc = count_gates(mc.circuit);
+  EXPECT_EQ(gc.h, want.h);
+  EXPECT_EQ(gc.cphase, want.cphase);
+  EXPECT_EQ(gc.swap, want.swap);
+  EXPECT_EQ(gc.total(), want.h + want.cphase + want.swap);
+}
+
+TEST(HeavyHexGolden, PaperLayouts) {
+  const std::vector<std::pair<int, GoldenStream>> cases = {
+      {50, {0xc28e0f3b74a47e6cull, 0x35800853ea7af698ull,
+            0x39a2888ac1426ab8ull, 241, 50, 1225, 1000}},
+      {205, {0x1106e4e8833a5d7cull, 0x8e5a57994a1cfc09ull,
+             0x865be1345779a221ull, 1016, 205, 20910, 16810}},
+      {1000, {0x91d7f3139001e5a1ull, 0xc55a6760cf1c628bull,
+              0x732447445343cde3ull, 4991, 1000, 499500, 400000}},
+  };
+  for (const auto& [n, want] : cases) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    verify::EmitAudit audit;
+    const MappedCircuit mc = map_qft_heavy_hex(n, &audit);
+    expect_golden(mc, make_heavy_hex(heavy_hex_layout(n)), audit, want);
+  }
+}
+
+TEST(HeavyHexGolden, IrregularLayouts) {
+  struct Case {
+    std::int32_t main_len;
+    std::vector<std::int32_t> junctions;
+    GoldenStream want;
+  };
+  const std::vector<Case> cases = {
+      {8, {1, 2, 5},
+       {0x708aff2da3cc8792ull, 0x4d7427872c14807aull, 0x52ebea60800235deull,
+        48, 11, 55, 39}},
+      {40, {0, 5, 6, 17, 39},
+       {0xd574e8d4d5e4a981ull, 0x689e139411852837ull, 0x167efda942123841ull,
+        213, 45, 990, 852}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("main_len=" + std::to_string(c.main_len));
+    const HeavyHexLayout lay = heavy_hex_layout_custom(c.main_len, c.junctions);
+    verify::EmitAudit audit;
+    const MappedCircuit mc = map_qft_heavy_hex(lay, &audit);
+    expect_golden(mc, make_heavy_hex(lay), audit, c.want);
+  }
+}
+
+TEST(HeavyHexGolden, DeviceReduction) {
+  const std::vector<std::pair<int, GoldenStream>> cases = {
+      {2, {0x4c47fe2001853c51ull, 0x3bfdccbf35446734ull,
+           0x593ce22bc0d8372aull, 139, 30, 435, 366}},
+      {5, {0x501a4a6330fae33aull, 0xee90a6407eca72e9ull,
+           0x1486eabb27f4b989ull, 394, 81, 3240, 2658}},
+  };
+  for (const auto& [rows, want] : cases) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    const HeavyHexDevice dev = make_heavy_hex_device(rows, 13);
+    verify::EmitAudit audit;
+    const MappedCircuit mc = map_qft_heavy_hex_device(dev, &audit);
+    expect_golden(mc, dev.graph, audit, want);
+  }
+}
+
 }  // namespace
 }  // namespace qfto
