@@ -19,23 +19,56 @@ namespace {
 
 using namespace qfto;
 
+// Gates written per second of mapping. Engines differ in depth and SWAP
+// count, so this (not wall time) is what compares their emitters.
+void set_gate_rate(benchmark::State& state, std::size_t gates) {
+  state.counters["gates_per_s"] =
+      benchmark::Counter(static_cast<double>(gates),
+                         benchmark::Counter::kIsIterationInvariantRate);
+}
+
 void BM_MapLnn(benchmark::State& state) {
   const std::int32_t n = static_cast<std::int32_t>(state.range(0));
+  std::size_t gates = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(map_qft_lnn(n));
+    const MappedCircuit mc = map_qft_lnn(n);
+    benchmark::DoNotOptimize(mc);
+    gates = mc.circuit.size();
   }
   state.counters["qubits"] = n;
+  set_gate_rate(state, gates);
 }
 BENCHMARK(BM_MapLnn)->Arg(64)->Arg(256)->Arg(1024);
 
+// N = 1000 sits next to BM_MapLnn/1024 for per-gate parity.
 void BM_MapHeavyHex(benchmark::State& state) {
   const std::int32_t n = static_cast<std::int32_t>(state.range(0));
+  std::size_t gates = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(map_qft_heavy_hex(n));
+    const MappedCircuit mc = map_qft_heavy_hex(n);
+    benchmark::DoNotOptimize(mc);
+    gates = mc.circuit.size();
   }
   state.counters["qubits"] = n;
+  set_gate_rate(state, gates);
 }
 BENCHMARK(BM_MapHeavyHex)->Arg(50)->Arg(200)->Arg(1000);
+
+// Full device of `rows` 13-qubit rows (N = 17·rows − 4): the reduction plus
+// emission straight onto device ids. 59 rows is N = 999.
+void BM_MapHeavyHexDevice(benchmark::State& state) {
+  const HeavyHexDevice dev =
+      make_heavy_hex_device(static_cast<std::int32_t>(state.range(0)), 13);
+  std::size_t gates = 0;
+  for (auto _ : state) {
+    const MappedCircuit mc = map_qft_heavy_hex_device(dev);
+    benchmark::DoNotOptimize(mc);
+    gates = mc.circuit.size();
+  }
+  state.counters["qubits"] = dev.graph.num_qubits();
+  set_gate_rate(state, gates);
+}
+BENCHMARK(BM_MapHeavyHexDevice)->Arg(3)->Arg(12)->Arg(59);
 
 void BM_MapSycamore(benchmark::State& state) {
   const std::int32_t m = static_cast<std::int32_t>(state.range(0));

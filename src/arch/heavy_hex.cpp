@@ -4,12 +4,6 @@
 
 namespace qfto {
 
-std::int32_t HeavyHexLayout::junction_at(std::int32_t p) const {
-  auto it = std::lower_bound(junctions.begin(), junctions.end(), p);
-  if (it == junctions.end() || *it != p) return -1;
-  return static_cast<std::int32_t>(it - junctions.begin());
-}
-
 HeavyHexLayout heavy_hex_layout(std::int32_t n) {
   require(n >= 5 && n % 5 == 0,
           "heavy_hex_layout: paper configuration needs N multiple of 5");
@@ -82,14 +76,6 @@ HeavyHexDevice make_heavy_hex_device(std::int32_t rows, std::int32_t cols) {
   return dev;
 }
 
-HeavyHexLayout HeavyHexReduction::canonical() const {
-  std::vector<std::int32_t> junctions;
-  junctions.reserve(dangling.size());
-  for (const auto& [pos, node] : dangling) junctions.push_back(pos);
-  return heavy_hex_layout_custom(static_cast<std::int32_t>(main_line.size()),
-                                 junctions);
-}
-
 HeavyHexReduction simplify_heavy_hex(const HeavyHexDevice& dev) {
   HeavyHexReduction red;
   // Snake: even rows left->right, odd rows right->left; descend through the
@@ -120,18 +106,6 @@ HeavyHexReduction simplify_heavy_hex(const HeavyHexDevice& dev) {
   }
   std::sort(red.dangling.begin(), red.dangling.end());
   return red;
-}
-
-std::vector<PhysicalQubit> heavy_hex_initial_mapping(
-    const HeavyHexLayout& lay) {
-  std::vector<PhysicalQubit> logical_to_physical(lay.num_qubits);
-  LogicalQubit next = 0;
-  for (std::int32_t p = 0; p < lay.main_len; ++p) {
-    logical_to_physical[next++] = lay.main_node(p);
-    const std::int32_t j = lay.junction_at(p);
-    if (j >= 0) logical_to_physical[next++] = lay.dangling_node(j);
-  }
-  return logical_to_physical;
 }
 
 }  // namespace qfto

@@ -24,8 +24,6 @@ struct HeavyHexLayout {
   PhysicalQubit main_node(std::int32_t p) const { return p; }
   /// Physical id of the g-th dangling node.
   PhysicalQubit dangling_node(std::int32_t g) const { return main_len + g; }
-  /// Index of the junction at main position p, or -1.
-  std::int32_t junction_at(std::int32_t p) const;
 };
 
 /// Paper configuration: N multiple of 5, groups of five = four main-line
@@ -69,16 +67,8 @@ struct HeavyHexReduction {
   /// (main-line position of the junction, dangling physical node), sorted by
   /// position.
   std::vector<std::pair<std::int32_t, PhysicalQubit>> dangling;
-
-  /// Equivalent canonical layout (junction positions on the main line).
-  HeavyHexLayout canonical() const;
 };
 
 HeavyHexReduction simplify_heavy_hex(const HeavyHexDevice& dev);
-
-/// Initial logical placement (Fig. 10): walk the main line left to right
-/// assigning ascending logical indices; immediately after a junction node,
-/// the next index goes to its dangling neighbor. Returns logical -> physical.
-std::vector<PhysicalQubit> heavy_hex_initial_mapping(const HeavyHexLayout& lay);
 
 }  // namespace qfto

@@ -7,40 +7,64 @@
 
 namespace qfto {
 
-MappedCircuit map_qft_heavy_hex(const HeavyHexLayout& lay,
-                                verify::EmitAudit* audit) {
-  const std::int32_t n = lay.num_qubits;
+namespace {
+
+/// (main-line position of the junction, dangling node), sorted by position.
+using DanglingPoints = std::vector<std::pair<std::int32_t, PhysicalQubit>>;
+
+/// The round loop on any physical labelling of a main line with dangling
+/// points: `main` lists the main-line nodes of `g` in line order. The canonical
+/// layout and the full device both call it, so the device path emits on
+/// device ids directly and the fused audit runs on the device graph.
+MappedCircuit map_main_line(const CouplingGraph& g,
+                            const std::vector<PhysicalQubit>& main,
+                            const DanglingPoints& dangling,
+                            verify::EmitAudit* audit) {
+  const auto main_len = static_cast<std::int32_t>(main.size());
+  const auto num_dangle = static_cast<std::int32_t>(dangling.size());
+  const std::int32_t n = main_len + num_dangle;
   require(n >= 1, "map_qft_heavy_hex: empty layout");
-  const CouplingGraph g = make_heavy_hex(lay);
+
+  // Initial placement (Fig. 10): ascending logical indices along the main
+  // line; right after a junction node, the next index goes to its dangling
+  // neighbor. Also flattens junction lookup into one table over node ids.
+  std::vector<PhysicalQubit> initial;
+  initial.reserve(static_cast<std::size_t>(n));
+  std::vector<std::int32_t> junction_of(
+      static_cast<std::size_t>(g.num_qubits()), -1);
+  std::int32_t placed = 0;
+  for (std::int32_t p = 0; p < main_len; ++p) {
+    initial.push_back(main[p]);
+    if (placed < num_dangle && dangling[placed].first == p) {
+      initial.push_back(dangling[placed].second);
+      junction_of[main[p]] = placed++;
+    }
+  }
+  require(placed == num_dangle,
+          "map_qft_heavy_hex: junctions must be distinct main-line "
+          "positions in ascending order");
+
   QftState state(n);
-  LayerEmitter em(g, heavy_hex_initial_mapping(lay), state, audit);
+  LayerEmitter em(g, std::move(initial), state, audit);
   em.reserve_gates(2 * (static_cast<std::int64_t>(n) * (n - 1) / 2 + n));
 
-  const std::int32_t num_dangle = lay.num_dangling();
   std::vector<std::uint8_t> parked(num_dangle, 0);
-
-  std::vector<PhysicalQubit> main_nodes(lay.main_len);
-  for (std::int32_t p = 0; p < lay.main_len; ++p) {
-    main_nodes[p] = lay.main_node(p);
-  }
-  const Line main_line(em, std::move(main_nodes));
+  const Line main_line(em, main);
 
   // Junction <-> dangling edges, resolved once (used every round for both
   // the interaction layer and the parking swaps).
   std::vector<LayerEmitter::EdgeHandle> junction_edge;
   junction_edge.reserve(static_cast<std::size_t>(num_dangle));
-  for (std::int32_t j = 0; j < num_dangle; ++j) {
-    junction_edge.push_back(em.resolve_edge(lay.main_node(lay.junctions[j]),
-                                            lay.dangling_node(j)));
+  for (const auto& [pos, node] : dangling) {
+    junction_edge.push_back(em.resolve_edge(main[pos], node));
   }
 
   // Veto for movement: a qubit waiting to park must not drift past its
   // junction, and nothing may move through an in-flight parking node.
   auto frozen = [&](PhysicalQubit node) {
-    const std::int32_t j = lay.junction_at(node);  // main node id == position
-    if (j < 0) return false;
-    if (parked[j]) return false;
-    return em.occupant(node) == static_cast<LogicalQubit>(j);
+    const std::int32_t j = junction_of[node];
+    return j >= 0 && !parked[j] &&
+           em.occupant(node) == static_cast<LogicalQubit>(j);
   };
 
   const std::int64_t round_cap = 8 * static_cast<std::int64_t>(n) + 64;
@@ -59,7 +83,7 @@ MappedCircuit map_qft_heavy_hex(const HeavyHexLayout& lay,
     }
     line_interaction_layer(em, main_line);
     for (std::int32_t j = 0; j < num_dangle; ++j) {
-      em.try_h(lay.dangling_node(j));
+      em.try_h(junction_edge[j].b);
     }
 
     // Movement layer. Parking swaps first, then LNN movement on the main
@@ -91,6 +115,20 @@ MappedCircuit map_qft_heavy_hex(const HeavyHexLayout& lay,
   return std::move(em).finish();
 }
 
+}  // namespace
+
+MappedCircuit map_qft_heavy_hex(const HeavyHexLayout& lay,
+                                verify::EmitAudit* audit) {
+  std::vector<PhysicalQubit> main(lay.main_len);
+  for (std::int32_t p = 0; p < lay.main_len; ++p) main[p] = lay.main_node(p);
+  DanglingPoints dangling;
+  dangling.reserve(lay.junctions.size());
+  for (std::int32_t j = 0; j < lay.num_dangling(); ++j) {
+    dangling.emplace_back(lay.junctions[j], lay.dangling_node(j));
+  }
+  return map_main_line(make_heavy_hex(lay), main, dangling, audit);
+}
+
 MappedCircuit map_qft_heavy_hex(std::int32_t n, verify::EmitAudit* audit) {
   return map_qft_heavy_hex(heavy_hex_layout(n), audit);
 }
@@ -98,38 +136,7 @@ MappedCircuit map_qft_heavy_hex(std::int32_t n, verify::EmitAudit* audit) {
 MappedCircuit map_qft_heavy_hex_device(const HeavyHexDevice& dev,
                                        verify::EmitAudit* audit) {
   const HeavyHexReduction red = simplify_heavy_hex(dev);
-  const HeavyHexLayout canon = red.canonical();
-  // The audit rides the canonical run: the relabeling below is a bijection
-  // onto device nodes that preserves gate order, durations (links keep their
-  // kinds) and the logical assignment, so depth/counts and the verdict are
-  // unchanged by it.
-  const MappedCircuit canonical = map_qft_heavy_hex(canon, audit);
-
-  // Canonical physical id -> device node.
-  std::vector<PhysicalQubit> relabel(canon.num_qubits);
-  for (std::size_t p = 0; p < red.main_line.size(); ++p) {
-    relabel[canon.main_node(static_cast<std::int32_t>(p))] = red.main_line[p];
-  }
-  for (std::size_t g = 0; g < red.dangling.size(); ++g) {
-    relabel[canon.dangling_node(static_cast<std::int32_t>(g))] =
-        red.dangling[g].second;
-  }
-
-  MappedCircuit out;
-  out.circuit = Circuit(dev.graph.num_qubits());
-  out.circuit.reserve(canonical.circuit.size());
-  for (const Gate& g : canonical.circuit) {
-    Gate hw = g;
-    hw.q0 = relabel[g.q0];
-    if (g.two_qubit()) hw.q1 = relabel[g.q1];
-    out.circuit.append(hw);
-  }
-  out.initial.reserve(canonical.initial.size());
-  for (PhysicalQubit p : canonical.initial) out.initial.push_back(relabel[p]);
-  for (PhysicalQubit p : canonical.final_mapping) {
-    out.final_mapping.push_back(relabel[p]);
-  }
-  return out;
+  return map_main_line(dev.graph, red.main_line, red.dangling, audit);
 }
 
 }  // namespace qfto

@@ -30,11 +30,10 @@ MappedCircuit map_qft_heavy_hex(std::int32_t n,
                                 verify::EmitAudit* audit = nullptr);
 
 /// End-to-end path for a *full* heavy-hex device (Appendix 1): reduce the
-/// device to a main line with dangling points, run the canonical mapper, and
-/// relabel the result back onto the device's physical nodes. The returned
-/// circuit is valid on dev.graph (the deleted links are simply never used).
-/// The audit transfers through the relabeling: depth and counts are
-/// relabel-invariant, so the canonical run's verdict holds on the device.
+/// device to a main line with dangling points and run the same round loop
+/// directly on the device's node ids. The returned circuit is valid on
+/// dev.graph (the deleted links are simply never used), and the audit runs
+/// against dev.graph itself.
 MappedCircuit map_qft_heavy_hex_device(const HeavyHexDevice& dev,
                                        verify::EmitAudit* audit = nullptr);
 

@@ -24,19 +24,9 @@ std::int32_t line_interaction_layer(LayerEmitter& em, const Line& line) {
 }
 
 std::int32_t line_movement_layer(LayerEmitter& em, const Line& line,
-                                 bool ascending, const NodeVeto& frozen) {
-  std::int32_t emitted = 0;
-  for (std::size_t i = 0; i + 1 < line.size(); ++i) {
-    const PhysicalQubit pa = line[i], pb = line[i + 1];
-    if (frozen && (frozen(pa) || frozen(pb))) continue;
-    const LogicalQubit a = occ(em, pa), b = occ(em, pb);
-    if (a == kInvalidQubit || b == kInvalidQubit) continue;
-    const bool uncrossed = ascending ? (a < b) : (a > b);
-    if (uncrossed && em.state().pair_done(a, b)) {
-      if (em.try_swap(line.edge(i))) ++emitted;
-    }
-  }
-  return emitted;
+                                 bool ascending) {
+  return line_movement_layer(em, line, ascending,
+                             [](PhysicalQubit) { return false; });
 }
 
 bool line_monotone(const LayerEmitter& em, const Line& line, bool ascending) {

@@ -16,18 +16,19 @@
 // handles, resolved against the coupling graph once at construction. The
 // per-layer loops run tens of millions of try_* calls at device scale, and
 // pre-resolving moves the CSR adjacency probe out of every one of them.
+//
+// A movement layer can take a veto: a predicate over physical nodes whose
+// SWAPs it skips (heavy-hex freezes a qubit that is about to park). The veto
+// is a template parameter rather than a type-erased callable, because it runs
+// twice per adjacent pair per movement layer (~4.8·N² calls per heavy-hex
+// QFT) and must inline into the loop.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mapper/emitter.hpp"
 
 namespace qfto {
-
-/// Optional veto: movement layers skip SWAPs touching a node for which this
-/// returns true (heavy-hex freezes a qubit that is about to park).
-using NodeVeto = std::function<bool(PhysicalQubit)>;
 
 /// A physical line (consecutive nodes coupled pairwise) with each adjacent
 /// edge pre-resolved. Construction validates every (i, i+1) adjacency, so a
@@ -64,10 +65,28 @@ std::int32_t line_interaction_layer(LayerEmitter& em, const Line& line);
 
 /// One movement layer: SWAP every adjacent pair (left a, right b) with
 /// pair done and still uncrossed (ascending: a<b must end b..a; descending
-/// symmetric). Returns number of SWAPs.
+/// symmetric), skipping pairs where `frozen(node)` holds for either node.
+/// Returns number of SWAPs.
+template <typename Veto>
 std::int32_t line_movement_layer(LayerEmitter& em, const Line& line,
-                                 bool ascending,
-                                 const NodeVeto& frozen = nullptr);
+                                 bool ascending, const Veto& frozen) {
+  std::int32_t emitted = 0;
+  for (std::size_t i = 0; i + 1 < line.size(); ++i) {
+    const PhysicalQubit pa = line[i], pb = line[i + 1];
+    if (frozen(pa) || frozen(pb)) continue;
+    const LogicalQubit a = em.occupant(pa), b = em.occupant(pb);
+    if (a == kInvalidQubit || b == kInvalidQubit) continue;
+    const bool uncrossed = ascending ? (a < b) : (a > b);
+    if (uncrossed && em.state().pair_done(a, b)) {
+      if (em.try_swap(line.edge(i))) ++emitted;
+    }
+  }
+  return emitted;
+}
+
+/// Movement layer with no veto.
+std::int32_t line_movement_layer(LayerEmitter& em, const Line& line,
+                                 bool ascending);
 
 /// True if occupants of `line` are monotone (asc or desc as requested).
 bool line_monotone(const LayerEmitter& em, const Line& line, bool ascending);

@@ -49,10 +49,12 @@ bool iequals(const std::string& a, const char* b) {
 
 }  // namespace
 
-/// One queued response slot: either a JobHandle the writer will wait on, or
-/// a pre-formatted immediate body (parse errors, shed notices, metrics).
+/// One queued response slot: a JobHandle the writer will wait on, a metrics
+/// snapshot the writer renders when it reaches the slot (so it counts every
+/// response written ahead of it), or a pre-formatted immediate body (parse
+/// errors, shed notices).
 struct NetServer::Pending {
-  enum class Kind { kJob, kImmediate, kParseError, kShed };
+  enum class Kind { kJob, kMetrics, kImmediate, kParseError, kShed };
 
   Kind kind = Kind::kImmediate;
   std::string id = "null";
@@ -186,8 +188,7 @@ NetServer::Pending NetServer::make_entry(Connection& conn,
     return entry;
   }
   if (req.metrics) {
-    entry.kind = Pending::Kind::kImmediate;
-    entry.immediate = metrics_json(*service_, metrics_);
+    entry.kind = Pending::Kind::kMetrics;
     return entry;
   }
   // Admission control. Both bounds are advisory point-in-time reads — two
@@ -337,8 +338,8 @@ void NetServer::serve_http(Connection& conn, LineReader& reader,
   if (method == "GET" && path == "/metrics") {
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     Pending entry;
+    entry.kind = Pending::Kind::kMetrics;
     entry.http = true;
-    entry.immediate = metrics_json(*service_, metrics_);
     push(std::move(entry));
     return;
   }
@@ -395,6 +396,8 @@ void NetServer::writer_loop(Connection& conn) {
       body = serve_response_json(entry.id, result);
       std::lock_guard<std::mutex> lock(conn.mutex);
       conn.writing = JobHandle();
+    } else if (entry.kind == Pending::Kind::kMetrics) {
+      body = metrics_json(*service_, metrics_);
     } else {
       body = entry.immediate;
     }

@@ -708,6 +708,9 @@ int run_serve_loop(std::istream& in, std::ostream& out,
     std::string id;
     JobHandle handle;      // empty when `immediate` carries the response
     std::string immediate; // pre-formatted response for rejected lines
+    // A metrics request renders when written, not when read, so the
+    // snapshot counts every response written ahead of it.
+    bool metrics = false;
   };
   constexpr std::size_t kMaxPending = 256;  // reader back-pressure bound
   ServeMetrics metrics;
@@ -733,6 +736,8 @@ int run_serve_loop(std::istream& in, std::ostream& out,
         metrics.record_result(result);
         metrics.in_flight.fetch_sub(1, std::memory_order_relaxed);
         out << serve_response_json(entry.id, result) << '\n' << std::flush;
+      } else if (entry.metrics) {
+        out << metrics_json(service, metrics) << '\n' << std::flush;
       } else {
         out << entry.immediate << '\n' << std::flush;
       }
@@ -764,7 +769,7 @@ int run_serve_loop(std::istream& in, std::ostream& out,
       rejected.error = req.error;
       entry.immediate = serve_response_json(req.id, rejected);
     } else if (req.metrics) {
-      entry.immediate = metrics_json(service, metrics);
+      entry.metrics = true;
     } else {
       entry.handle = service.submit(std::move(req.request), req.submit);
       metrics.in_flight.fetch_add(1, std::memory_order_relaxed);

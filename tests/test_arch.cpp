@@ -11,7 +11,6 @@
 #include "arch/latency_model.hpp"
 #include "arch/line.hpp"
 #include "arch/sycamore.hpp"
-#include "circuit/mapped_circuit.hpp"
 
 namespace qfto {
 namespace {
@@ -188,30 +187,12 @@ TEST(HeavyHex, PaperLayout) {
   EXPECT_EQ(lay.main_len, 8);
   EXPECT_EQ(lay.num_dangling(), 2);
   EXPECT_EQ(lay.junctions, (std::vector<std::int32_t>{3, 7}));
-  EXPECT_EQ(lay.junction_at(3), 0);
-  EXPECT_EQ(lay.junction_at(7), 1);
-  EXPECT_EQ(lay.junction_at(4), -1);
 
   const CouplingGraph g = make_heavy_hex(lay);
   EXPECT_TRUE(g.connected());
   EXPECT_EQ(g.num_edges(), 7 + 2);  // main chain + dangling links
   EXPECT_TRUE(g.adjacent(lay.main_node(3), lay.dangling_node(0)));
   EXPECT_FALSE(g.adjacent(lay.dangling_node(0), lay.dangling_node(1)));
-}
-
-TEST(HeavyHex, InitialMappingWalk) {
-  // N=10: main 0..7, junctions at 3 and 7. Walk: q0..q3 on main 0..3,
-  // q4 dangling0, q5..q8 on main 4..7, q9 dangling1.
-  const HeavyHexLayout lay = heavy_hex_layout(10);
-  const auto map = heavy_hex_initial_mapping(lay);
-  ASSERT_EQ(map.size(), 10u);
-  EXPECT_EQ(map[0], 0);
-  EXPECT_EQ(map[3], 3);
-  EXPECT_EQ(map[4], lay.dangling_node(0));
-  EXPECT_EQ(map[5], 4);
-  EXPECT_EQ(map[8], 7);
-  EXPECT_EQ(map[9], lay.dangling_node(1));
-  EXPECT_TRUE(valid_mapping(map, lay.num_qubits));
 }
 
 TEST(HeavyHex, CustomLayoutValidation) {

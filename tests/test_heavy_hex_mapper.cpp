@@ -87,6 +87,16 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair<int, std::vector<int>>{30, {7, 21}},    // sparse
         std::pair<int, std::vector<int>>{16, {3, 7, 11, 15}}));  // paper-like
 
+TEST(HeavyHex, InitialMappingWalk) {
+  // N=10: main 0..7, junctions at 3 and 7. Walk (Fig. 10): q0..q3 on main
+  // 0..3, q4 dangling0, q5..q8 on main 4..7, q9 dangling1.
+  const HeavyHexLayout lay = heavy_hex_layout(10);
+  const std::vector<PhysicalQubit> map = map_qft_heavy_hex(lay).initial;
+  EXPECT_EQ(map, (std::vector<PhysicalQubit>{0, 1, 2, 3, lay.dangling_node(0),
+                                             4, 5, 6, 7,
+                                             lay.dangling_node(1)}));
+}
+
 TEST(HeavyHex, NoDanglingEqualsLnnBehaviour) {
   const HeavyHexLayout lay = heavy_hex_layout_custom(12, {});
   const MappedCircuit mc = map_qft_heavy_hex(lay);

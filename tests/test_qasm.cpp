@@ -333,7 +333,8 @@ TEST(QasmProperty, RoutedKernelsRoundTripUnitaryExact) {
 // the QFT spec on the sycamore graph, and its circuit feeds back through the
 // general map_circuit entry point end-to-end.
 TEST(QasmFixture, Qft16SycamoreParsesAndReverifies) {
-  std::ifstream in(std::string(QFTO_SOURCE_DIR) + "/qft16_sycamore.qasm");
+  std::ifstream in(std::string(QFTO_SOURCE_DIR) +
+                   "/tests/fixtures/qft16_sycamore.qasm");
   ASSERT_TRUE(in) << "fixture missing";
   std::ostringstream text;
   text << in.rdbuf();

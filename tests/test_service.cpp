@@ -803,6 +803,28 @@ TEST(Serve, MetricsRequestAnswersInBandAndRejectsMixedShapes) {
       << lines[3];
 }
 
+TEST(Serve, PipelinedMetricsCountResponsesWrittenAheadOfIt) {
+  // Both lines arrive before the job finishes; the snapshot must still
+  // describe the response written ahead of it, not the moment it was read.
+  std::istringstream in(
+      "{\"id\": 1, \"engine\": \"lnn\", \"n\": 8}\n"
+      "{\"metrics\": true}\n");
+  std::ostringstream out;
+  MappingService service{service_options(1)};
+  EXPECT_EQ(run_serve_loop(in, out, service), 0);
+
+  std::vector<std::string> lines;
+  std::istringstream reread(out.str());
+  for (std::string line; std::getline(reread, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u) << out.str();
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"responses\":1,"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"misses\":1,"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"map_seconds\":{\"count\":1,"),
+            std::string::npos)
+      << lines[1];
+}
+
 TEST(Serve, DeadClientStopsTheLoopAndCancelsTheBacklog) {
   // An output stream whose every write fails — the stdio equivalent of a
   // client that hung up.

@@ -332,11 +332,11 @@ TEST(Transport, MetricsMatchCacheStatsOverBothProtocols) {
   LineReader reader(sock);
   ASSERT_TRUE(sock.send_all("{\"id\":1,\"engine\":\"lattice\",\"n\":9}\n"
                             "{\"id\":1,\"engine\":\"lattice\",\"n\":9}\n"));
-  read_line(reader);
-  read_line(reader);
-  // The metrics snapshot is taken at admission time, so only request it
-  // once the two job responses have been read (and thus recorded).
+  // Pipelined behind both jobs: the snapshot is rendered when the writer
+  // reaches it, after both job responses are written (and thus recorded).
   ASSERT_TRUE(sock.send_all("{\"metrics\":true}\n"));
+  read_line(reader);
+  read_line(reader);
   const std::string inband = read_line(reader);
   const ResultCache::Stats stats = service.cache_stats();
   EXPECT_EQ(stats.hits, 1u);
