@@ -210,6 +210,39 @@ TEST(Satmap, SolvesQft4OnGrid) {
   EXPECT_LE(r.swaps, 4);
 }
 
+TEST(Satmap, PinnedOptimaOnLineAndGrid) {
+  // Proven optima past the n <= 4 cases above: minimal layers T, minimal
+  // SWAP count, and the verified depth of the extracted schedule. A solver
+  // change may pick a different equally-optimal schedule, but none of these
+  // numbers may move.
+  struct Case {
+    const char* name;
+    std::int32_t n;
+    CouplingGraph graph;
+    std::int32_t layers;
+    std::int64_t swaps;
+    std::int32_t depth;
+  };
+  const std::vector<Case> cases = {
+      {"line5", 5, make_line(5), 9, 6, 14},
+      {"line6", 6, make_line(6), 11, 11, 18},
+      {"line7", 7, make_line(7), 13, 17, 22},
+      {"grid2x3", 6, make_grid(2, 3), 11, 6, 16},
+  };
+  for (const Case& c : cases) {
+    SatmapOptions opts;
+    opts.time_budget_seconds = 120.0;
+    const SatmapResult r = satmap_route(qft_logical(c.n), c.graph, opts);
+    ASSERT_TRUE(r.solved) << c.name << " timed out";
+    const auto chk = check_qft_mapping(r.mapped, c.graph);
+    ASSERT_TRUE(chk.ok) << c.name << ": " << chk.error;
+    EXPECT_EQ(r.layers, c.layers) << c.name;
+    EXPECT_EQ(r.swaps, c.swaps) << c.name;
+    EXPECT_EQ(chk.counts.swap, c.swaps) << c.name;
+    EXPECT_EQ(chk.depth, c.depth) << c.name;
+  }
+}
+
 TEST(Satmap, TimesOutOnLargerInstances) {
   // The Table 1 behaviour for >= 16 qubits under a tight budget.
   const CouplingGraph g = make_sycamore(4);
