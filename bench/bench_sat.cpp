@@ -25,6 +25,7 @@
 // Counters (per run): sat_conflicts, sat_decisions, sat_propagations,
 // sat_clauses (database size, summed over probes on the monolithic path —
 // the re-encode overhead made visible), solve_calls, solved/layers/swaps.
+// satmap_route_full also reports items (solve calls) and sat_props_per_s.
 // Runs are pinned to Iterations(1): each iteration is a whole SAT search,
 // and the counters, not single-shot wall time, are the stable signal.
 //
@@ -66,8 +67,8 @@ void report(benchmark::State& state, const SatmapResult& r) {
   state.counters["swaps"] = static_cast<double>(r.swaps);
 }
 
-void satmap_bench(benchmark::State& state, const char* kind, bool incremental,
-                  bool minimize) {
+SatmapResult satmap_bench(benchmark::State& state, const char* kind,
+                          bool incremental, bool minimize) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const CouplingGraph g = arch_graph(kind, n);
   SatmapResult last;
@@ -79,6 +80,7 @@ void satmap_bench(benchmark::State& state, const char* kind, bool incremental,
     last = satmap_route(qft_logical(n), g, opts);
   }
   report(state, last);
+  return last;
 }
 
 void satmap_depth_probe(benchmark::State& state, const char* kind,
@@ -86,9 +88,19 @@ void satmap_depth_probe(benchmark::State& state, const char* kind,
   satmap_bench(state, kind, incremental, /*minimize=*/false);
 }
 
+// items = solve() calls, so items_per_second is probe throughput of the
+// single-lane solver, the series the perf-trend guard watches next to the
+// portfolio family; sat_props_per_s is the solver's propagation rate.
 void satmap_route_full(benchmark::State& state, const char* kind,
                        bool incremental) {
-  satmap_bench(state, kind, incremental, /*minimize=*/true);
+  const SatmapResult r =
+      satmap_bench(state, kind, incremental, /*minimize=*/true);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          r.stats.solve_calls);
+  state.counters["sat_props_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(r.stats.propagations),
+      benchmark::Counter::kIsRate);
 }
 
 #define QFTO_SAT_BENCH(fn, arch, range_lo, range_hi)                     \

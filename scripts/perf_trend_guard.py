@@ -10,10 +10,12 @@ by more than the threshold. Guarded series:
     work);
   * BENCH_service.json  — items_per_second of the socket_* families (served
     requests/s through the TCP front-end);
-  * BENCH_sat.json      — items_per_second of the satmap_portfolio/* family
-    (SAT probes/s through the racing portfolio), with a per-guard threshold:
-    a single Iterations(1) SAT search is far noisier than the throughput
-    families, so only halvings fail the gate;
+  * BENCH_sat.json      — items_per_second of the satmap_route_full/* family
+    (SAT probes/s through the default single-lane solver that SATMAP uses)
+    and of the satmap_portfolio/* family (SAT probes/s through the racing
+    portfolio), with a per-guard threshold: a single Iterations(1) SAT
+    search is far noisier than the throughput families, so only halvings
+    fail the gate;
   * BENCH_aqft.json     — items_per_second of the fidelity_route/* families
     (gates/s through SABRE's calibrated-device routing, depth and fidelity
     objectives), with the same loose 0.50 threshold.
@@ -35,6 +37,7 @@ import sys
 GUARDS = [
     ("BENCH_checker.json", ("verify_",), "verify throughput", None),
     ("BENCH_service.json", ("socket_",), "socket req/s", None),
+    ("BENCH_sat.json", ("satmap_route_full/",), "single-lane probes/s", 0.50),
     ("BENCH_sat.json", ("satmap_portfolio/",), "portfolio probes/s", 0.50),
     # Calibrated-device routing: SABRE trial counts dominate and are noisy
     # run to run, so like the SAT family only halvings fail the gate.

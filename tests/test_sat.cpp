@@ -212,6 +212,84 @@ TEST(Sat, StatsCountersAreMonotone) {
   EXPECT_GE(second.propagations, first.propagations);
 }
 
+/// Random 3-SAT over `nv` fresh variables at clause/var ratio 4.26, the
+/// phase transition, where instances are hardest; returns the clauses.
+std::vector<std::vector<Lit>> encode_threshold_3sat(Solver& s, int nv,
+                                                    std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  for (int v = 0; v < nv; ++v) s.new_var();
+  std::vector<std::vector<Lit>> clauses;
+  const int nc = static_cast<int>(nv * 4.26);
+  for (int c = 0; c < nc; ++c) {
+    std::vector<Lit> cl;
+    for (int k = 0; k < 3; ++k) {
+      const auto v = static_cast<std::int32_t>(rng.uniform(nv));
+      cl.push_back(rng.uniform(2) ? Lit::pos(v) : Lit::neg(v));
+    }
+    clauses.push_back(cl);
+    s.add_clause(cl);
+  }
+  return clauses;
+}
+
+TEST(Sat, LearntClauseDeletionFires) {
+  // Without deletion every conflict adds one learnt clause or fixes one
+  // root unit (at most one per variable), so a single solve from a fresh
+  // instance ends with clauses >= original + conflicts - vars. Tens of
+  // thousands of conflicts cross several reductions, each dropping half of
+  // the deletable learnts.
+  Solver s;
+  const int nv = 200;
+  encode_threshold_3sat(s, nv, 2);
+  const std::int64_t original = s.num_clauses();
+  EXPECT_EQ(s.solve(), Result::kUnsat);
+  const SolverStats st = s.stats();
+  ASSERT_GT(st.conflicts, 10000) << "instance too easy to reach a reduction";
+  EXPECT_LT(st.clauses + nv, original + st.conflicts)
+      << "learnt clauses were never deleted";
+}
+
+TEST(Sat, IncrementalCallsStayExactAcrossLearntReductions) {
+  // One instance answers a run of probes under random assumptions, long
+  // enough for learnt-clause reductions to fire mid-search and between
+  // calls. Each verdict must match a fresh instance given the assumptions
+  // as units, and each model must satisfy every clause and the assumptions.
+  Solver s;
+  const int nv = 200;
+  const auto clauses = encode_threshold_3sat(s, nv, 10);
+  Xoshiro256ss rng(99);
+  int sat = 0, unsat = 0;
+  for (int call = 0; call < 12; ++call) {
+    std::vector<Lit> assumptions;
+    for (int k = 0; k < 3; ++k) {
+      const auto v = static_cast<std::int32_t>(rng.uniform(nv));
+      assumptions.push_back(rng.uniform(2) ? Lit::pos(v) : Lit::neg(v));
+    }
+    const Result r = s.solve(assumptions);
+    Solver fresh;
+    encode_threshold_3sat(fresh, nv, 10);
+    for (const Lit a : assumptions) fresh.add_unit(a);
+    ASSERT_EQ(r, fresh.solve()) << "call " << call;
+    if (r == Result::kUnsat) {
+      ++unsat;
+      continue;
+    }
+    ++sat;
+    for (const Lit a : assumptions) {
+      EXPECT_NE(s.value(a.var()), a.sign()) << "call " << call;
+    }
+    for (const auto& cl : clauses) {
+      bool ok = false;
+      for (const Lit l : cl) ok |= (s.value(l.var()) != l.sign());
+      ASSERT_TRUE(ok) << "call " << call;
+    }
+  }
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat, 0);
+  // Reductions run every 8000 conflicts.
+  EXPECT_GT(s.num_conflicts(), 16000) << "too few conflicts to reduce twice";
+}
+
 TEST(Cardinality, AtMostKBoundary) {
   const int n = 5;
   for (int k = 0; k < n; ++k) {
