@@ -149,8 +149,7 @@ Solver::CRef Solver::alloc_clause(const Lit* lits, std::int32_t size,
               (std::size_t{1} << 31),
           "cdcl: clause arena exceeds 2^31 words");
   arena_.push_back(Lit{(size << 2) | (learnt ? 1 : 0)});
-  arena_.push_back(Lit{0});
-  set_clause_activity(c, 0.0f);
+  arena_.push_back(Lit{0});  // activity 0.0f: all bits zero
   arena_.insert(arena_.end(), lits, lits + size);
   ++(learnt ? num_learnts_ : num_original_);
   return c;
