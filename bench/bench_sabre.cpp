@@ -8,6 +8,13 @@
 //   route_sparse/<topo>/nN — SABRE-route a K=32-gate random CX circuit on an
 //                            N-node grid / full lattice-surgery graph (one
 //                            trial, fixed seed). items = gates routed.
+//   route_qft/line/n96     — QFT-96 on the 96-node line at the default five
+//                            trials and seed: every blocked step scores its
+//                            candidates, so this is the scoring path's
+//                            throughput. items = logical gates routed.
+//   route_circuit/grid/n100 — a seeded 700-CX random circuit (with H/RZ
+//                            between the CXs) on the 10x10 grid, default
+//                            options. items = logical gates routed.
 //   oracle_query/<topo>/nN — random-pair distance queries through the
 //                            oracle's closed forms. items = queries.
 //   oracle_rows/<topo>/nN  — full row materialization (what DistView pins
@@ -23,7 +30,9 @@
 
 #include "arch/grid.hpp"
 #include "arch/lattice_surgery.hpp"
+#include "arch/line.hpp"
 #include "baseline/sabre.hpp"
+#include "circuit/qft_spec.hpp"
 #include "common/prng.hpp"
 
 namespace {
@@ -115,6 +124,37 @@ void BM_OracleRows(benchmark::State& state, const std::string& topo, int n) {
   state.SetItemsProcessed(state.iterations() * c.graph.num_qubits());
 }
 
+/// Routes `logical` on `g` with default options (five trials, seed 1).
+void BM_RouteDense(benchmark::State& state, const Circuit& logical,
+                   const CouplingGraph& g) {
+  std::int64_t emitted = 0;
+  for (auto _ : state) {
+    const MappedCircuit mc = sabre_route(logical, g);
+    emitted = static_cast<std::int64_t>(mc.circuit.size());
+    benchmark::DoNotOptimize(mc.final_mapping.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(logical.size()));
+  state.counters["hw_gates"] = static_cast<double>(emitted);
+}
+
+Circuit random_cx_circuit(std::int32_t n, std::int32_t cx,
+                          std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  Circuit c(n);
+  for (std::int32_t i = 0; i < cx; ++i) {
+    const std::uint64_t kind = rng.uniform(4);
+    const auto q = static_cast<std::int32_t>(rng.uniform(n));
+    if (kind == 0) c.append(Gate::h(q));
+    if (kind == 1) c.append(Gate::rz(q, 0.5));
+    const auto a = static_cast<std::int32_t>(rng.uniform(n));
+    auto b = static_cast<std::int32_t>(rng.uniform(n - 1));
+    if (b >= a) ++b;
+    c.append(Gate::cnot(a, b));
+  }
+  return c;
+}
+
 const int register_all = [] {
   using Fn = void (*)(benchmark::State&, const std::string&, int);
   const std::pair<const char*, Fn> families[] = {
@@ -134,6 +174,23 @@ const int register_all = [] {
             ->Unit(benchmark::kMillisecond);
       }
     }
+  }
+  struct Dense {
+    const char* name;
+    Circuit logical;
+    CouplingGraph graph;
+  };
+  static const Dense dense[] = {
+      {"route_qft/line/n96", qft_logical(96), make_line(96)},
+      {"route_circuit/grid/n100", random_cx_circuit(100, 700, 0x5abe700),
+       make_grid(10, 10)},
+  };
+  for (const Dense& d : dense) {
+    benchmark::RegisterBenchmark(d.name,
+                                 [&d](benchmark::State& st) {
+                                   BM_RouteDense(st, d.logical, d.graph);
+                                 })
+        ->Unit(benchmark::kMillisecond);
   }
   return 0;
 }();

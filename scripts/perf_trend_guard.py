@@ -10,6 +10,10 @@ by more than the threshold. Guarded series:
     work);
   * BENCH_service.json  — items_per_second of the socket_* families (served
     requests/s through the TCP front-end);
+  * BENCH_sabre.json    — items_per_second of the route_* families (logical
+    gates/s through SABRE: sparse routing at device scale, QFT-96 on the
+    line and a 700-CX circuit on the grid), with the loose 0.50 threshold:
+    each is a single-iteration route whose time swings with the runner;
   * BENCH_sat.json      — items_per_second of the satmap_route_full/* family
     (SAT probes/s through the default single-lane solver that SATMAP uses)
     and of the satmap_portfolio/* family (SAT probes/s through the racing
@@ -37,6 +41,7 @@ import sys
 GUARDS = [
     ("BENCH_checker.json", ("verify_",), "verify throughput", None),
     ("BENCH_service.json", ("socket_",), "socket req/s", None),
+    ("BENCH_sabre.json", ("route_",), "SABRE routed gates/s", 0.50),
     ("BENCH_sat.json", ("satmap_route_full/",), "single-lane probes/s", 0.50),
     ("BENCH_sat.json", ("satmap_portfolio/",), "portfolio probes/s", 0.50),
     # Calibrated-device routing: SABRE trial counts dominate and are noisy

@@ -30,39 +30,44 @@ namespace {
 /// depth path computes exactly what it always did.
 class EdgePenalty {
  public:
-  explicit EdgePenalty(const SabreOptions& opts) {
+  EdgePenalty(const SabreOptions& opts, const CouplingGraph& g) {
     if (!opts.fidelity_objective || opts.device == nullptr) return;
     double worst = 0.0;
     for (const DeviceEdge& e : opts.device->edges()) {
       worst = std::max(worst, -std::log10(1.0 - e.error_2q));
     }
     if (worst <= 0.0) return;
-    device_ = opts.device;
-    inv_worst_ = 1.0 / worst;
-    weight_ = opts.fidelity_weight;
+    const double inv_worst = 1.0 / worst;
+    // Tabulated once per pass in g.neighbors order, so scoring a candidate
+    // reads a double instead of probing the device's edge map.
+    offset_.reserve(static_cast<std::size_t>(g.num_qubits()) + 1);
+    for (PhysicalQubit a = 0; a < g.num_qubits(); ++a) {
+      offset_.push_back(static_cast<std::int32_t>(cost_.size()));
+      for (PhysicalQubit b : g.neighbors(a)) {
+        cost_.push_back(opts.fidelity_weight *
+                        -std::log10(1.0 - opts.device->edge_error(a, b)) *
+                        inv_worst);
+      }
+    }
+    offset_.push_back(static_cast<std::int32_t>(cost_.size()));
   }
 
-  bool active() const { return device_ != nullptr; }
+  bool active() const { return !offset_.empty(); }
 
-  double operator()(PhysicalQubit a, PhysicalQubit b) const {
-    return weight_ * -std::log10(1.0 - device_->edge_error(a, b)) * inv_worst_;
+  /// Penalty of the edge from `a` to its k-th neighbour in g.neighbors(a).
+  double operator()(PhysicalQubit a, std::size_t k) const {
+    return cost_[static_cast<std::size_t>(offset_[a]) + k];
   }
 
  private:
-  const DeviceModel* device_ = nullptr;
-  double inv_worst_ = 1.0;
-  double weight_ = 1.0;
+  std::vector<std::int32_t> offset_;
+  std::vector<double> cost_;
 };
 
 struct SwapCandidate {
   PhysicalQubit a;
   PhysicalQubit b;
-};
-
-/// Physical endpoints of a two-qubit gate, flattened for the scoring loop.
-struct EndpointPair {
-  PhysicalQubit a;
-  PhysicalQubit b;
+  double penalty;  // EdgePenalty of (a, b); 0 when inactive
 };
 
 /// Pass-scoped view over the DistanceOracle: pins row handles on first
@@ -98,6 +103,94 @@ class DistView {
   std::size_t limit_;
 };
 
+/// The blocked step's front and extended pairs, indexed under both of their
+/// physical endpoints. A SWAP (sa, sb) moves only the pairs that touch sa or
+/// sb, so a candidate is scored by walking those two endpoint lists instead
+/// of every pair. Built by a counting sort over the touched qubits; a stamp
+/// per physical qubit marks the ones touched this step, so nothing is
+/// cleared between steps. A pair listed twice (the extended-set walk can
+/// reach a gate along two paths) is indexed twice and counts twice.
+class EndpointIndex {
+ public:
+  struct Entry {
+    PhysicalQubit partner;
+    std::int32_t dist;  // the pair's distance under the current mapping
+    std::int32_t set;   // kFront or kExtended
+  };
+  static constexpr std::int32_t kFront = 0;
+  static constexpr std::int32_t kExtended = 1;
+
+  explicit EndpointIndex(std::int32_t num_physical)
+      : stamp_(static_cast<std::size_t>(num_physical), 0),
+        begin_(static_cast<std::size_t>(num_physical), 0),
+        end_(static_cast<std::size_t>(num_physical), 0) {}
+
+  /// Starts a new step: every qubit reads as untouched.
+  void clear() {
+    if (++epoch_ == 0) {  // wrapped: stale stamps could alias the new epoch
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    touched_.clear();
+    pairs_.clear();
+  }
+
+  void add(PhysicalQubit a, PhysicalQubit b, std::int32_t dist,
+           std::int32_t set) {
+    pairs_.push_back({a, b, dist, set});
+    count(a);
+    count(b);
+  }
+
+  /// Lays the added pairs out by endpoint. Call once, after the last add().
+  void build() {
+    std::int32_t offset = 0;
+    for (PhysicalQubit p : touched_) {
+      begin_[p] = offset;
+      offset += end_[p];
+      end_[p] = begin_[p];  // fill cursor; ends at the range's end
+    }
+    entries_.resize(static_cast<std::size_t>(offset));
+    for (const Pair& pr : pairs_) {
+      entries_[end_[pr.a]++] = {pr.b, pr.dist, pr.set};
+      entries_[end_[pr.b]++] = {pr.a, pr.dist, pr.set};
+    }
+  }
+
+  /// The entries of every pair with an endpoint at `p` (empty if none).
+  const Entry* begin(PhysicalQubit p) const {
+    return entries_.data() + (stamp_[p] == epoch_ ? begin_[p] : 0);
+  }
+  const Entry* end(PhysicalQubit p) const {
+    return entries_.data() + (stamp_[p] == epoch_ ? end_[p] : 0);
+  }
+
+ private:
+  struct Pair {
+    PhysicalQubit a;
+    PhysicalQubit b;
+    std::int32_t dist;
+    std::int32_t set;
+  };
+
+  void count(PhysicalQubit p) {
+    if (stamp_[p] != epoch_) {
+      stamp_[p] = epoch_;
+      end_[p] = 0;
+      touched_.push_back(p);
+    }
+    ++end_[p];
+  }
+
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::int32_t> begin_;
+  std::vector<std::int32_t> end_;  // a count until build(), then range end
+  std::vector<PhysicalQubit> touched_;
+  std::vector<Pair> pairs_;
+  std::vector<Entry> entries_;
+  std::uint32_t epoch_ = 0;
+};
+
 // One full routing pass. When `emit` is false only the final mapping is
 // produced (used by the bidirectional initial-mapping refinement).
 struct PassResult {
@@ -112,7 +205,7 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
                       Xoshiro256ss& rng, const SabreOptions& opts, bool emit) {
   const std::int32_t n = logical.num_qubits();
   DistView dist(g);
-  const EdgePenalty penalty(opts);
+  const EdgePenalty penalty(opts, g);
   MappingTracker map(initial, g.num_qubits());
 
   std::vector<std::int32_t> indeg(dag.size(), 0);
@@ -141,8 +234,8 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
   std::vector<SwapCandidate> cands;
   std::vector<std::int32_t> extended;
   std::vector<std::int32_t> queue;
-  std::vector<EndpointPair> front_pairs;
-  std::vector<EndpointPair> ext_pairs;
+  std::vector<PhysicalQubit> front_qubits;
+  EndpointIndex pairs(g.num_qubits());
   std::vector<std::size_t> best_set;
 
   const std::int64_t swap_cap =
@@ -179,23 +272,8 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     }
     if (front.empty()) break;
 
-    // Blocked: choose a SWAP. Candidates touch a front-layer qubit.
-    cands.clear();
-    for (auto gi : front) {
-      const Gate& gate = logical[gi];
-      for (LogicalQubit l : {gate.q0, gate.q1}) {
-        const PhysicalQubit p = map.physical_of(l);
-        for (PhysicalQubit nb : g.neighbors(p)) cands.push_back({p, nb});
-      }
-    }
-    std::sort(cands.begin(), cands.end(), [](const auto& x, const auto& y) {
-      return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-    });
-    cands.erase(std::unique(cands.begin(), cands.end(),
-                            [](const auto& x, const auto& y) {
-                              return x.a == y.a && x.b == y.b;
-                            }),
-                cands.end());
+    // Blocked: choose a SWAP. Every gate left in the front layer is a
+    // two-qubit gate whose endpoints are not adjacent.
 
     // Extended set: the next few two-qubit gates past the front layer.
     extended.clear();
@@ -212,22 +290,59 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
       }
     }
 
-    // Flatten the gates under consideration to physical endpoint pairs once
-    // per blocked step; the candidate scoring loop then runs over flat
-    // arrays with pinned oracle rows — no tracker lookups, no maps/sets.
-    front_pairs.clear();
+    // Score = max decay * (sum_F dist / |F| + W * sum_E dist / |E|) under
+    // the hypothetical swap. A swap (sa, sb) changes only the pairs with an
+    // endpoint at sa or sb: an entry (sa, q) with q != sb goes from dist to
+    // d(sb, q), and symmetrically under sb; the pair (sa, sb) itself keeps
+    // its distance. So the base sums are taken once per step and each
+    // candidate adds the deltas over its two endpoint lists in the index.
+    // The sums are exact integers — the same integers the full rescore adds
+    // up — and the divisions by |F| and |E| are unchanged, so every score is
+    // the same double bit for bit: the same tie set, the same RNG draw.
+    const auto kFront = EndpointIndex::kFront;
+    const auto kExtended = EndpointIndex::kExtended;
+    std::int64_t base[2] = {0, 0};
+    pairs.clear();
+    front_qubits.clear();
     for (auto gi : front) {
       const Gate& gate = logical[gi];
-      if (!gate.two_qubit()) continue;
-      front_pairs.push_back(
-          {map.physical_of(gate.q0), map.physical_of(gate.q1)});
+      const PhysicalQubit a = map.physical_of(gate.q0);
+      const PhysicalQubit b = map.physical_of(gate.q1);
+      const std::int32_t d = dist.row(a)[b];
+      base[kFront] += d;
+      pairs.add(a, b, d, kFront);
+      front_qubits.push_back(a);
+      front_qubits.push_back(b);
     }
-    ext_pairs.clear();
     for (auto gi : extended) {
       const Gate& gate = logical[gi];
-      ext_pairs.push_back(
-          {map.physical_of(gate.q0), map.physical_of(gate.q1)});
+      const PhysicalQubit a = map.physical_of(gate.q0);
+      const PhysicalQubit b = map.physical_of(gate.q1);
+      const std::int32_t d = dist.row(a)[b];
+      base[kExtended] += d;
+      pairs.add(a, b, d, kExtended);
     }
+    pairs.build();
+
+    // Candidates touch a front-layer qubit. Emitted already in (a, b) order
+    // — distinct front qubits ascending, each one's neighbours ascending —
+    // which is the order the tie set, and so the RNG draw, indexes.
+    std::sort(front_qubits.begin(), front_qubits.end());
+    front_qubits.erase(std::unique(front_qubits.begin(), front_qubits.end()),
+                       front_qubits.end());
+    cands.clear();
+    for (PhysicalQubit p : front_qubits) {
+      const std::size_t first = cands.size();
+      const std::vector<PhysicalQubit>& nbs = g.neighbors(p);
+      for (std::size_t k = 0; k < nbs.size(); ++k) {
+        cands.push_back({p, nbs[k], penalty.active() ? penalty(p, k) : 0.0});
+      }
+      std::sort(cands.begin() + static_cast<std::ptrdiff_t>(first), cands.end(),
+                [](const auto& x, const auto& y) { return x.b < y.b; });
+    }
+
+    const auto front_size = static_cast<double>(front.size());
+    const auto ext_size = static_cast<double>(extended.size());
 
     // Distance scores move in quanta of 1/|front| (and W/|ext| for the
     // lookahead term); keeping the penalty below half the smallest quantum
@@ -235,13 +350,10 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     // not, whatever the calibration says — convergence is the depth path's.
     double tie_scale = 0.0;
     if (penalty.active()) {
-      const double fq =
-          front_pairs.empty() ? 1.0
-                              : 1.0 / static_cast<double>(front_pairs.size());
-      const double eq =
-          (!ext_pairs.empty() && opts.extended_weight > 0.0)
-              ? opts.extended_weight / static_cast<double>(ext_pairs.size())
-              : fq;
+      const double fq = 1.0 / front_size;
+      const double eq = (!extended.empty() && opts.extended_weight > 0.0)
+                            ? opts.extended_weight / ext_size
+                            : fq;
       tie_scale = 0.5 * std::min(fq, eq);
     }
 
@@ -250,28 +362,29 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     for (std::size_t ci = 0; ci < cands.size(); ++ci) {
       const SwapCandidate& cand = cands[ci];
       const PhysicalQubit sa = cand.a, sb = cand.b;
-      // Position of endpoint p under the hypothetical swap sa<->sb.
-      const auto swapped = [sa, sb](PhysicalQubit p) {
-        return p == sa ? sb : (p == sb ? sa : p);
-      };
-      double basic = 0.0;
-      for (const EndpointPair& ep : front_pairs) {
-        basic += dist.row(swapped(ep.a))[swapped(ep.b)];
+      std::int64_t sum[2] = {base[kFront], base[kExtended]};
+      // Each row pointer is used up before the next row() call, which may
+      // flush the view's pins.
+      const std::int32_t* from_b = dist.row(sb);
+      for (auto* e = pairs.begin(sa); e != pairs.end(sa); ++e) {
+        if (e->partner != sb) sum[e->set] += from_b[e->partner] - e->dist;
       }
-      if (!front_pairs.empty()) basic /= static_cast<double>(front_pairs.size());
-      double ext = 0.0;
-      if (!ext_pairs.empty()) {
-        for (const EndpointPair& ep : ext_pairs) {
-          ext += dist.row(swapped(ep.a))[swapped(ep.b)];
+      if (pairs.begin(sb) != pairs.end(sb)) {
+        const std::int32_t* from_a = dist.row(sa);
+        for (auto* e = pairs.begin(sb); e != pairs.end(sb); ++e) {
+          if (e->partner != sa) sum[e->set] += from_a[e->partner] - e->dist;
         }
-        ext /= static_cast<double>(ext_pairs.size());
       }
+      const double basic = static_cast<double>(sum[kFront]) / front_size;
+      const double ext = extended.empty()
+                             ? 0.0
+                             : static_cast<double>(sum[kExtended]) / ext_size;
       const LogicalQubit la = map.logical_at(sa);
       const LogicalQubit lb = map.logical_at(sb);
       const double da = la == kInvalidQubit ? 1.0 : decay[la];
       const double db = lb == kInvalidQubit ? 1.0 : decay[lb];
       double score = std::max(da, db) * (basic + opts.extended_weight * ext);
-      if (penalty.active()) score += tie_scale * penalty(sa, sb);
+      if (penalty.active()) score += tie_scale * cand.penalty;
       if (score < best - 1e-12) {
         best = score;
         best_set.assign(1, ci);
