@@ -17,57 +17,76 @@ namespace qfto {
 
 namespace {
 
-/// Per-candidate edge-error penalty for the fidelity objective: the
-/// calibrated -log10(1-e2) of the SWAP's edge, normalized to (0, 1] by the
-/// device's worst edge, then scaled by fidelity_weight. The scoring loop
-/// multiplies this by a per-step tie scale that sits strictly below the
-/// smallest distance-score quantum, so the penalty steers among
-/// distance-equal swaps but can never outvote progress toward the front —
-/// a penalty that rivals the distance terms livelocks the router on
-/// low-error edges (zero-progress swaps win forever; the decay mechanism
-/// resets every few swaps and cannot catch up). Inactive (zero-cost, no
-/// device probes) unless the objective is on and a device is bound, so the
-/// depth path computes exactly what it always did.
-class EdgePenalty {
+/// Every edge a SWAP can use, listed under each endpoint in ascending
+/// neighbour order and built once per pass, so a blocked step emits its
+/// candidates already sorted.
+///
+/// Each edge carries its penalty for the fidelity objective: the calibrated
+/// -log10(1-e2) of the edge, normalized to (0, 1] by the device's worst
+/// edge, then scaled by fidelity_weight. The scoring loop multiplies this by
+/// a per-step tie scale that sits strictly below the smallest distance-score
+/// quantum, so the penalty steers among distance-equal swaps but can never
+/// outvote progress toward the front — a penalty that rivals the distance
+/// terms livelocks the router on low-error edges (zero-progress swaps win
+/// forever; the decay mechanism resets every few swaps and cannot catch up).
+/// Inactive (zero penalties, no device probes) unless the objective is on
+/// and a device is bound, so the depth path computes exactly what it always
+/// did.
+class SwapEdges {
  public:
-  EdgePenalty(const SabreOptions& opts, const CouplingGraph& g) {
-    if (!opts.fidelity_objective || opts.device == nullptr) return;
-    double worst = 0.0;
-    for (const DeviceEdge& e : opts.device->edges()) {
-      worst = std::max(worst, -std::log10(1.0 - e.error_2q));
-    }
-    if (worst <= 0.0) return;
-    const double inv_worst = 1.0 / worst;
-    // Tabulated once per pass in g.neighbors order, so scoring a candidate
-    // reads a double instead of probing the device's edge map.
-    offset_.reserve(static_cast<std::size_t>(g.num_qubits()) + 1);
-    for (PhysicalQubit a = 0; a < g.num_qubits(); ++a) {
-      offset_.push_back(static_cast<std::int32_t>(cost_.size()));
-      for (PhysicalQubit b : g.neighbors(a)) {
-        cost_.push_back(opts.fidelity_weight *
-                        -std::log10(1.0 - opts.device->edge_error(a, b)) *
-                        inv_worst);
+  struct Edge {
+    PhysicalQubit b;
+    double penalty;
+  };
+
+  SwapEdges(const SabreOptions& opts, const CouplingGraph& g) {
+    double inv_worst = 0.0;
+    if (opts.fidelity_objective && opts.device != nullptr) {
+      double worst = 0.0;
+      for (const DeviceEdge& e : opts.device->edges()) {
+        worst = std::max(worst, -std::log10(1.0 - e.error_2q));
+      }
+      if (worst > 0.0) {
+        device_ = opts.device;
+        inv_worst = 1.0 / worst;
       }
     }
-    offset_.push_back(static_cast<std::int32_t>(cost_.size()));
+    offset_.reserve(static_cast<std::size_t>(g.num_qubits()) + 1);
+    for (PhysicalQubit a = 0; a < g.num_qubits(); ++a) {
+      offset_.push_back(static_cast<std::int32_t>(edges_.size()));
+      for (PhysicalQubit b : g.neighbors(a)) {
+        const double penalty =
+            penalized() ? opts.fidelity_weight *
+                              -std::log10(1.0 - device_->edge_error(a, b)) *
+                              inv_worst
+                        : 0.0;
+        edges_.push_back({b, penalty});
+      }
+      std::sort(edges_.begin() + offset_.back(), edges_.end(),
+                [](const Edge& x, const Edge& y) { return x.b < y.b; });
+    }
+    offset_.push_back(static_cast<std::int32_t>(edges_.size()));
   }
 
-  bool active() const { return !offset_.empty(); }
+  bool penalized() const { return device_ != nullptr; }
 
-  /// Penalty of the edge from `a` to its k-th neighbour in g.neighbors(a).
-  double operator()(PhysicalQubit a, std::size_t k) const {
-    return cost_[static_cast<std::size_t>(offset_[a]) + k];
+  const Edge* begin(PhysicalQubit a) const {
+    return edges_.data() + offset_[a];
+  }
+  const Edge* end(PhysicalQubit a) const {
+    return edges_.data() + offset_[a + 1];
   }
 
  private:
-  std::vector<std::int32_t> offset_;
-  std::vector<double> cost_;
+  const DeviceModel* device_ = nullptr;
+  std::vector<std::int32_t> offset_;  // num_qubits + 1
+  std::vector<Edge> edges_;
 };
 
 struct SwapCandidate {
   PhysicalQubit a;
   PhysicalQubit b;
-  double penalty;  // EdgePenalty of (a, b); 0 when inactive
+  double penalty;  // SwapEdges penalty of (a, b)
 };
 
 /// Pass-scoped view over the DistanceOracle: pins row handles on first
@@ -108,21 +127,24 @@ class DistView {
 /// sb, so a candidate is scored by walking those two endpoint lists instead
 /// of every pair. Built by a counting sort over the touched qubits; a stamp
 /// per physical qubit marks the ones touched this step, so nothing is
-/// cleared between steps. A pair listed twice (the extended-set walk can
-/// reach a gate along two paths) is indexed twice and counts twice.
+/// cleared between steps. Each qubit's list holds its front entries, then
+/// its extended ones. A pair listed twice (the extended-set walk can reach a
+/// gate along two paths) is indexed twice and counts twice.
 class EndpointIndex {
  public:
   struct Entry {
     PhysicalQubit partner;
     std::int32_t dist;  // the pair's distance under the current mapping
-    std::int32_t set;   // kFront or kExtended
   };
-  static constexpr std::int32_t kFront = 0;
-  static constexpr std::int32_t kExtended = 1;
+  struct Range {
+    const Entry* first;
+    const Entry* last;
+  };
 
   explicit EndpointIndex(std::int32_t num_physical)
       : stamp_(static_cast<std::size_t>(num_physical), 0),
         begin_(static_cast<std::size_t>(num_physical), 0),
+        mid_(static_cast<std::size_t>(num_physical), 0),
         end_(static_cast<std::size_t>(num_physical), 0) {}
 
   /// Starts a new step: every qubit reads as untouched.
@@ -132,17 +154,18 @@ class EndpointIndex {
       epoch_ = 1;
     }
     touched_.clear();
-    pairs_.clear();
+    for (auto& set : pairs_) set.clear();
+    sum_[kFront] = sum_[kExtended] = 0;
   }
 
-  void add(PhysicalQubit a, PhysicalQubit b, std::int32_t dist,
-           std::int32_t set) {
-    pairs_.push_back({a, b, dist, set});
-    count(a);
-    count(b);
+  void add_front(PhysicalQubit a, PhysicalQubit b, std::int32_t dist) {
+    add(kFront, a, b, dist);
+  }
+  void add_extended(PhysicalQubit a, PhysicalQubit b, std::int32_t dist) {
+    add(kExtended, a, b, dist);
   }
 
-  /// Lays the added pairs out by endpoint. Call once, after the last add().
+  /// Lays the added pairs out by endpoint. Call once, after the last add.
   void build() {
     std::int32_t offset = 0;
     for (PhysicalQubit p : touched_) {
@@ -151,27 +174,54 @@ class EndpointIndex {
       end_[p] = begin_[p];  // fill cursor; ends at the range's end
     }
     entries_.resize(static_cast<std::size_t>(offset));
-    for (const Pair& pr : pairs_) {
-      entries_[end_[pr.a]++] = {pr.b, pr.dist, pr.set};
-      entries_[end_[pr.b]++] = {pr.a, pr.dist, pr.set};
-    }
+    fill(pairs_[kFront]);
+    for (PhysicalQubit p : touched_) mid_[p] = end_[p];
+    fill(pairs_[kExtended]);
   }
 
-  /// The entries of every pair with an endpoint at `p` (empty if none).
-  const Entry* begin(PhysicalQubit p) const {
-    return entries_.data() + (stamp_[p] == epoch_ ? begin_[p] : 0);
+  /// Distance sums over all front / extended pairs.
+  std::int64_t front_sum() const { return sum_[kFront]; }
+  std::int64_t extended_sum() const { return sum_[kExtended]; }
+
+  bool touched(PhysicalQubit p) const { return stamp_[p] == epoch_; }
+
+  /// Entries of the front / extended pairs with an endpoint at a touched p.
+  Range front(PhysicalQubit p) const {
+    return {entries_.data() + begin_[p], entries_.data() + mid_[p]};
   }
-  const Entry* end(PhysicalQubit p) const {
-    return entries_.data() + (stamp_[p] == epoch_ ? end_[p] : 0);
+  Range extended(PhysicalQubit p) const {
+    return {entries_.data() + mid_[p], entries_.data() + end_[p]};
+  }
+
+  /// How the distance sum over `r` changes when the endpoint the entries
+  /// are listed under moves to the source of `row`: each pair goes from its
+  /// stored distance to row[partner], except a pair with `skip`, the
+  /// endpoint's swap partner, which keeps its distance.
+  static std::int64_t moved(Range r, PhysicalQubit skip,
+                            const std::int32_t* row) {
+    std::int64_t delta = 0;
+    for (const Entry* e = r.first; e != r.last; ++e) {
+      if (e->partner != skip) delta += row[e->partner] - e->dist;
+    }
+    return delta;
   }
 
  private:
+  static constexpr int kFront = 0;
+  static constexpr int kExtended = 1;
+
   struct Pair {
     PhysicalQubit a;
     PhysicalQubit b;
     std::int32_t dist;
-    std::int32_t set;
   };
+
+  void add(int set, PhysicalQubit a, PhysicalQubit b, std::int32_t dist) {
+    pairs_[set].push_back({a, b, dist});
+    sum_[set] += dist;
+    count(a);
+    count(b);
+  }
 
   void count(PhysicalQubit p) {
     if (stamp_[p] != epoch_) {
@@ -182,11 +232,20 @@ class EndpointIndex {
     ++end_[p];
   }
 
+  void fill(const std::vector<Pair>& pairs) {
+    for (const Pair& pr : pairs) {
+      entries_[end_[pr.a]++] = {pr.b, pr.dist};
+      entries_[end_[pr.b]++] = {pr.a, pr.dist};
+    }
+  }
+
   std::vector<std::uint32_t> stamp_;
   std::vector<std::int32_t> begin_;
+  std::vector<std::int32_t> mid_;  // end of the front entries
   std::vector<std::int32_t> end_;  // a count until build(), then range end
   std::vector<PhysicalQubit> touched_;
-  std::vector<Pair> pairs_;
+  std::vector<Pair> pairs_[2];
+  std::int64_t sum_[2] = {0, 0};
   std::vector<Entry> entries_;
   std::uint32_t epoch_ = 0;
 };
@@ -205,7 +264,7 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
                       Xoshiro256ss& rng, const SabreOptions& opts, bool emit) {
   const std::int32_t n = logical.num_qubits();
   DistView dist(g);
-  const EdgePenalty penalty(opts, g);
+  const SwapEdges edges(opts, g);
   MappingTracker map(initial, g.num_qubits());
 
   std::vector<std::int32_t> indeg(dag.size(), 0);
@@ -299,46 +358,34 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     // The sums are exact integers — the same integers the full rescore adds
     // up — and the divisions by |F| and |E| are unchanged, so every score is
     // the same double bit for bit: the same tie set, the same RNG draw.
-    const auto kFront = EndpointIndex::kFront;
-    const auto kExtended = EndpointIndex::kExtended;
-    std::int64_t base[2] = {0, 0};
     pairs.clear();
     front_qubits.clear();
     for (auto gi : front) {
-      const Gate& gate = logical[gi];
-      const PhysicalQubit a = map.physical_of(gate.q0);
-      const PhysicalQubit b = map.physical_of(gate.q1);
-      const std::int32_t d = dist.row(a)[b];
-      base[kFront] += d;
-      pairs.add(a, b, d, kFront);
+      const PhysicalQubit a = map.physical_of(logical[gi].q0);
+      const PhysicalQubit b = map.physical_of(logical[gi].q1);
+      pairs.add_front(a, b, dist.row(a)[b]);
       front_qubits.push_back(a);
       front_qubits.push_back(b);
     }
     for (auto gi : extended) {
-      const Gate& gate = logical[gi];
-      const PhysicalQubit a = map.physical_of(gate.q0);
-      const PhysicalQubit b = map.physical_of(gate.q1);
-      const std::int32_t d = dist.row(a)[b];
-      base[kExtended] += d;
-      pairs.add(a, b, d, kExtended);
+      const PhysicalQubit a = map.physical_of(logical[gi].q0);
+      const PhysicalQubit b = map.physical_of(logical[gi].q1);
+      pairs.add_extended(a, b, dist.row(a)[b]);
     }
     pairs.build();
 
-    // Candidates touch a front-layer qubit. Emitted already in (a, b) order
-    // — distinct front qubits ascending, each one's neighbours ascending —
-    // which is the order the tie set, and so the RNG draw, indexes.
+    // Candidates touch a front-layer qubit. They come out already in (a, b)
+    // order — distinct front qubits ascending, each one's neighbours
+    // ascending — which is the order the tie set, and so the RNG draw,
+    // indexes.
     std::sort(front_qubits.begin(), front_qubits.end());
     front_qubits.erase(std::unique(front_qubits.begin(), front_qubits.end()),
                        front_qubits.end());
     cands.clear();
     for (PhysicalQubit p : front_qubits) {
-      const std::size_t first = cands.size();
-      const std::vector<PhysicalQubit>& nbs = g.neighbors(p);
-      for (std::size_t k = 0; k < nbs.size(); ++k) {
-        cands.push_back({p, nbs[k], penalty.active() ? penalty(p, k) : 0.0});
+      for (const auto* e = edges.begin(p); e != edges.end(p); ++e) {
+        cands.push_back({p, e->b, e->penalty});
       }
-      std::sort(cands.begin() + static_cast<std::ptrdiff_t>(first), cands.end(),
-                [](const auto& x, const auto& y) { return x.b < y.b; });
     }
 
     const auto front_size = static_cast<double>(front.size());
@@ -349,7 +396,7 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     // guarantees any swap that shortens a front pair beats any that does
     // not, whatever the calibration says — convergence is the depth path's.
     double tie_scale = 0.0;
-    if (penalty.active()) {
+    if (edges.penalized()) {
       const double fq = 1.0 / front_size;
       const double eq = (!extended.empty() && opts.extended_weight > 0.0)
                             ? opts.extended_weight / ext_size
@@ -362,29 +409,29 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     for (std::size_t ci = 0; ci < cands.size(); ++ci) {
       const SwapCandidate& cand = cands[ci];
       const PhysicalQubit sa = cand.a, sb = cand.b;
-      std::int64_t sum[2] = {base[kFront], base[kExtended]};
       // Each row pointer is used up before the next row() call, which may
-      // flush the view's pins.
+      // flush the view's pins. sa is a front qubit, so it is always indexed.
       const std::int32_t* from_b = dist.row(sb);
-      for (auto* e = pairs.begin(sa); e != pairs.end(sa); ++e) {
-        if (e->partner != sb) sum[e->set] += from_b[e->partner] - e->dist;
-      }
-      if (pairs.begin(sb) != pairs.end(sb)) {
+      std::int64_t front_sum =
+          pairs.front_sum() + EndpointIndex::moved(pairs.front(sa), sb, from_b);
+      std::int64_t ext_sum =
+          pairs.extended_sum() +
+          EndpointIndex::moved(pairs.extended(sa), sb, from_b);
+      if (pairs.touched(sb)) {
         const std::int32_t* from_a = dist.row(sa);
-        for (auto* e = pairs.begin(sb); e != pairs.end(sb); ++e) {
-          if (e->partner != sa) sum[e->set] += from_a[e->partner] - e->dist;
-        }
+        front_sum += EndpointIndex::moved(pairs.front(sb), sa, from_a);
+        ext_sum += EndpointIndex::moved(pairs.extended(sb), sa, from_a);
       }
-      const double basic = static_cast<double>(sum[kFront]) / front_size;
+      const double basic = static_cast<double>(front_sum) / front_size;
       const double ext = extended.empty()
                              ? 0.0
-                             : static_cast<double>(sum[kExtended]) / ext_size;
+                             : static_cast<double>(ext_sum) / ext_size;
       const LogicalQubit la = map.logical_at(sa);
       const LogicalQubit lb = map.logical_at(sb);
       const double da = la == kInvalidQubit ? 1.0 : decay[la];
       const double db = lb == kInvalidQubit ? 1.0 : decay[lb];
       double score = std::max(da, db) * (basic + opts.extended_weight * ext);
-      if (penalty.active()) score += tie_scale * cand.penalty;
+      if (edges.penalized()) score += tie_scale * cand.penalty;
       if (score < best - 1e-12) {
         best = score;
         best_set.assign(1, ci);
