@@ -193,19 +193,6 @@ class EndpointIndex {
     return {entries_.data() + mid_[p], entries_.data() + end_[p]};
   }
 
-  /// How the distance sum over `r` changes when the endpoint the entries
-  /// are listed under moves to the source of `row`: each pair goes from its
-  /// stored distance to row[partner], except a pair with `skip`, the
-  /// endpoint's swap partner, which keeps its distance.
-  static std::int64_t moved(Range r, PhysicalQubit skip,
-                            const std::int32_t* row) {
-    std::int64_t delta = 0;
-    for (const Entry* e = r.first; e != r.last; ++e) {
-      if (e->partner != skip) delta += row[e->partner] - e->dist;
-    }
-    return delta;
-  }
-
  private:
   static constexpr int kFront = 0;
   static constexpr int kExtended = 1;
@@ -296,6 +283,20 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
   std::vector<PhysicalQubit> front_qubits;
   EndpointIndex pairs(g.num_qubits());
   std::vector<std::size_t> best_set;
+
+  // How the distance sum over an index range changes when the qubit it is
+  // listed under moves to `to`: each pair goes from its stored distance to
+  // d(partner, to), except the pair with `to` itself — the swap's own pair,
+  // which keeps its distance. Rows are read by partner, a front or extended
+  // endpoint, so the view pins only those rows, not one per candidate
+  // neighbour.
+  const auto moved = [&dist](EndpointIndex::Range r, PhysicalQubit to) {
+    std::int64_t delta = 0;
+    for (const EndpointIndex::Entry* e = r.first; e != r.last; ++e) {
+      if (e->partner != to) delta += dist.row(e->partner)[to] - e->dist;
+    }
+    return delta;
+  };
 
   const std::int64_t swap_cap =
       1000 + 64 * static_cast<std::int64_t>(dag.size()) *
@@ -409,18 +410,13 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     for (std::size_t ci = 0; ci < cands.size(); ++ci) {
       const SwapCandidate& cand = cands[ci];
       const PhysicalQubit sa = cand.a, sb = cand.b;
-      // Each row pointer is used up before the next row() call, which may
-      // flush the view's pins. sa is a front qubit, so it is always indexed.
-      const std::int32_t* from_b = dist.row(sb);
-      std::int64_t front_sum =
-          pairs.front_sum() + EndpointIndex::moved(pairs.front(sa), sb, from_b);
+      // sa is a front qubit, so it is always indexed.
+      std::int64_t front_sum = pairs.front_sum() + moved(pairs.front(sa), sb);
       std::int64_t ext_sum =
-          pairs.extended_sum() +
-          EndpointIndex::moved(pairs.extended(sa), sb, from_b);
+          pairs.extended_sum() + moved(pairs.extended(sa), sb);
       if (pairs.touched(sb)) {
-        const std::int32_t* from_a = dist.row(sa);
-        front_sum += EndpointIndex::moved(pairs.front(sb), sa, from_a);
-        ext_sum += EndpointIndex::moved(pairs.extended(sb), sa, from_a);
+        front_sum += moved(pairs.front(sb), sa);
+        ext_sum += moved(pairs.extended(sb), sa);
       }
       const double basic = static_cast<double>(front_sum) / front_size;
       const double ext = extended.empty()
