@@ -353,12 +353,14 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     // Score = max decay * (sum_F dist / |F| + W * sum_E dist / |E|) under
     // the hypothetical swap. A swap (sa, sb) changes only the pairs with an
     // endpoint at sa or sb: an entry (sa, q) with q != sb goes from dist to
-    // d(sb, q), and symmetrically under sb; the pair (sa, sb) itself keeps
-    // its distance. So the base sums are taken once per step and each
-    // candidate adds the deltas over its two endpoint lists in the index.
-    // The sums are exact integers — the same integers the full rescore adds
-    // up — and the divisions by |F| and |E| are unchanged, so every score is
-    // the same double bit for bit: the same tie set, the same RNG draw.
+    // d(q, sb), and symmetrically under sb; the pair (sa, sb) itself keeps
+    // its distance. Hop distances are symmetric, so whichever endpoint's row
+    // supplies a distance, it is the same integer. The base sums are taken
+    // once per step and each candidate adds the deltas over its two endpoint
+    // lists in the index. The sums are exact integers — the same integers
+    // the full rescore adds up — and the divisions by |F| and |E| are
+    // unchanged, so every score is the same double bit for bit: the same
+    // tie set, the same RNG draw.
     pairs.clear();
     front_qubits.clear();
     for (auto gi : front) {
