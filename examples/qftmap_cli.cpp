@@ -92,7 +92,6 @@ int usage(const char* argv0) {
       "[--out FILE] [--strict-ie] "
       "[--synced] [--trials T] [--budget SECONDS] [--solver BACKEND] "
       "[--solver-plugin [NAME=]LIB.so] [--portfolio] [--lanes L] "
-      "[--linear-descent] "
       "[--monolithic-sat] [--dump-cnf FILE] [--aqft K] [--cnot-basis] "
       "[--quiet]\n       %s --serve [--threads T] [--cache-entries N] "
       "[--cache-ttl-seconds S] "
@@ -321,8 +320,6 @@ int main(int argc, char** argv) {
       if (!v) return usage(argv[0]);
       opts.satmap.lanes = std::atoi(v);
       if (opts.satmap.lanes < 1) return usage(argv[0]);
-    } else if (a == "--linear-descent") {
-      opts.satmap.core_guided = false;
     } else if (a == "--monolithic-sat") {
       opts.satmap.incremental = false;
     } else if (a == "--dump-cnf") {

@@ -417,10 +417,10 @@ void route_monolithic(const SearchContext& ctx, SatmapResult& result) {
 /// The incremental driver: ONE solver instance carries the whole search.
 /// The max-layers skeleton grows step by step, each horizon's completion
 /// constraint rides a fresh activation literal assumed for that probe (and
-/// retired with a unit afterwards), and SWAP minimization tightens one
-/// sequential-counter output chain with assumptions — learnt clauses, saved
-/// phases and variable activity persist across every probe instead of being
-/// rebuilt and thrown away.
+/// retired with a unit afterwards), and the SAT-UNSAT SWAP descent tightens
+/// one sequential-counter output chain with assumptions — learnt clauses,
+/// saved phases and variable activity persist across every probe instead of
+/// being rebuilt and thrown away.
 void route_incremental(const SearchContext& ctx, SatmapResult& result) {
   const SatmapOptions& opts = ctx.opts;
   const std::unique_ptr<SolverInterface> solver = make_search_solver(opts);
@@ -462,34 +462,24 @@ void route_incremental(const SearchContext& ctx, SatmapResult& result) {
     result.layers = layers;
 
     if (opts.minimize_swaps && best.swaps > 0) {
+      // SAT-UNSAT descent: probe one SWAP below the best model, jump to
+      // each new model's count, and stop at the first refutation — a run
+      // pays for exactly one UNSAT proof, the expensive kind of probe.
+      //
       // A counter at the found horizon, wide enough for the first model's
       // SWAP count; every budget probe below is then a handful of
-      // assumptions. When the feasible bound drops far below the current
-      // width (models often shed many SWAPs per probe), re-encode a
-      // narrower counter over the same cached move indicators — the wide
-      // one's registers are dead weight the solver would otherwise branch
-      // on. The narrow width always covers `hi`, so every future probe
-      // (budget <= hi-1) stays expressible.
-      //
-      // Core-guided descent (opts.core_guided): the minimum lives in
-      // [lo, hi] — `hi` feasible (best model), everything below `lo`
-      // refuted. Instead of stepping hi-1, hi-2, ... probe the midpoint,
-      // and commit every refutation as a *permanent* clause
-      // (¬active ∨ at_least[b]): the horizon provably needs > b SWAPs, so
-      // the learnt fact survives later probes — and on a portfolio run is
-      // immediately shared with every lane, not just the one that found
-      // it. The search stays complete, so the minimal SWAP count is
-      // unchanged; only the probe count shrinks (O(log) vs O(n) when the
-      // first model is far from optimal).
+      // assumptions. When the best count drops far below the current width
+      // (models often shed many SWAPs per probe), re-encode a narrower
+      // counter over the same cached move indicators — the wide one's
+      // registers are dead weight the solver would otherwise branch on. The
+      // narrow width always covers the best count, so the next probe stays
+      // expressible.
       std::int32_t width = static_cast<std::int32_t>(best.swaps);
       std::vector<Lit> at_least = enc.swap_outputs(layers, width);
-      std::int64_t lo = 0;            // minimum is known to be >= lo
-      std::int64_t hi = best.swaps;   // feasible: best realizes hi
-      while (lo < hi && !ctx.deadline.expired() && !ctx.cancelled()) {
-        const std::int64_t budget =
-            opts.core_guided ? lo + (hi - 1 - lo) / 2 : hi - 1;
-        if (2 * hi <= width) {
-          width = static_cast<std::int32_t>(hi);
+      while (best.swaps > 0 && !ctx.deadline.expired() && !ctx.cancelled()) {
+        const auto budget = static_cast<std::int32_t>(best.swaps - 1);
+        if (2 * best.swaps <= width) {
+          width = static_cast<std::int32_t>(best.swaps);
           at_least = enc.swap_outputs(layers, width);
         }
         // Assume the whole upper output chain false, not just ~s_budget:
@@ -497,8 +487,7 @@ void route_incremental(const SearchContext& ctx, SatmapResult& result) {
         // is one-directional, so a model never needs them true), and
         // pinning them keeps the solver from branching on dead counters.
         assumptions = {active};
-        for (std::int32_t j = static_cast<std::int32_t>(budget); j < width;
-             ++j) {
+        for (std::int32_t j = budget; j < width; ++j) {
           assumptions.push_back(~at_least[j]);
         }
         // Measured after any counter re-encode so its cost stays inside the
@@ -507,17 +496,11 @@ void route_incremental(const SearchContext& ctx, SatmapResult& result) {
         if (ctx.deadline.expired() || rem2 <= 0.0) {
           break;  // keep the depth-minimal schedule found
         }
-        const Result r2 = solver->solve(assumptions, rem2, opts.cancel);
-        if (r2 == Result::kSat) {
-          best = extract(*solver, enc, ctx.logical, ctx.g, layers);
-          hi = best.swaps;
-        } else if (r2 == Result::kUnsat) {
-          lo = budget + 1;
-          solver->add_clause(
-              {~active, at_least[static_cast<std::int32_t>(budget)]});
-        } else {
-          break;  // timeout/cancel: keep the best schedule found
+        // kUnsat proves `best` optimal; timeout/cancel keeps it as found.
+        if (solver->solve(assumptions, rem2, opts.cancel) != Result::kSat) {
+          break;
         }
+        best = extract(*solver, enc, ctx.logical, ctx.g, layers);
       }
     }
     result.mapped = std::move(best.mapped);

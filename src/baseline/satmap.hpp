@@ -4,16 +4,19 @@
 // swap consistency, adjacency for every two-qubit gate, strict dependency via
 // scheduled-prefix variables. The minimal number of layers T is found by
 // iterative deepening, then the SWAP count is minimized at that T with a
-// sequential-counter budget.
+// sequential-counter budget by SAT-UNSAT descent: each probe asks for one
+// SWAP fewer than the best model so far, and the first UNSAT proves it
+// optimal.
 //
 // Two search drivers share the encoding:
 //  - incremental (default): ONE solver instance for the whole search. Each
 //    horizon T's "every gate executes by T" constraint is gated behind a
 //    fresh activation literal, deepening solves under the assumption of the
 //    current horizon's activator (retiring the previous one with a unit),
-//    and SWAP minimization tightens a sequential-counter output chain with
+//    and the SWAP descent tightens a sequential-counter output chain with
 //    assumptions — so learnt clauses, saved phases and activity carry across
-//    every probe instead of being rebuilt and thrown away.
+//    every probe instead of being rebuilt and thrown away. A run pays for
+//    exactly one UNSAT proof in the descent, its last probe.
 //  - monolithic: the paper-faithful re-encode-per-probe loop, kept as the
 //    differential oracle and the bench_sat baseline.
 // Both drivers produce the same solved/TLE/cancelled verdicts, the same
@@ -65,16 +68,6 @@ struct SatmapOptions {
   /// Backends spread round-robin across portfolio lanes; empty -> every
   /// lane runs `solver`, told apart by diversification seeds.
   std::vector<std::string> portfolio_backends;
-
-  /// Core-guided SWAP descent (incremental driver only): bisect the budget
-  /// between the learnt infeasibility bound and the best model instead of
-  /// decrementing by one, committing every UNSAT probe as a permanent
-  /// lower-bound clause — with a portfolio, the winning lane's refutation
-  /// is immediately shared with every other lane. Same minimal SWAP count
-  /// (the search stays complete); fewer probes when the first model is far
-  /// from optimal. The monolithic driver ignores this and keeps the
-  /// paper-faithful decrement loop as the differential oracle.
-  bool core_guided = true;
 
   /// Cooperative cancellation: when non-null, satmap_route polls the flag
   /// between deepening layers and the solver polls it inside the search

@@ -454,8 +454,10 @@ void Solver::backtrack(std::int32_t target_level) {
       heap_insert(v);
     }
     trail_lim_.resize(target_level);
+    // Only here, as in MiniSat's cancelUntil: a no-op backtrack must not
+    // mark enqueued-but-unpropagated root facts (a learnt unit) propagated.
+    qhead_ = trail_.size();
   }
-  qhead_ = trail_.size();
 }
 
 Lit Solver::pick_branch() {
@@ -518,6 +520,9 @@ void Solver::simplify_at_root() {
     }
     // Propagation fixpoint at the root leaves no unit or empty clause here:
     // a would-be unit has its remaining literal already true (satisfied).
+    // A survivor shorter than two literals would corrupt the watch scheme,
+    // so a broken fixpoint fails loudly instead.
+    require(w >= 2, "cdcl: root simplification met an unpropagated clause");
     size = w;
     return true;
   });

@@ -110,8 +110,6 @@ std::string ResultCache::key(const std::string& engine, std::int32_t native_n,
     k += backend;
     k += '+';
   }
-  k += ',';
-  k += opts.satmap.core_guided ? '1' : '0';
   k += "|verify=";
   k += opts.verify ? '1' : '0';
   k += static_cast<char>('0' + static_cast<int>(opts.verify_mode));

@@ -449,12 +449,6 @@ ServeRequest parse_serve_request(std::string_view line) {
         return req;
       }
       req.request.options.satmap.lanes = static_cast<std::int32_t>(i);
-    } else if (key == "sat_core_guided") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"sat_core_guided\" must be a bool";
-        return req;
-      }
-      req.request.options.satmap.core_guided = value.flag;
     } else if (key == "device") {
       // Calibrated device description: a file path, or the device JSON
       // itself inline when the string starts with '{' (after optional

@@ -28,8 +28,7 @@
 // default false: race each SAT probe across diversified lanes, first
 // definitive verdict wins), `lanes` (integer in [1, 64], default 2; the
 // effective count is clamped to the machine's cores at run time),
-// `sat_core_guided` (bool, default true: bisecting SWAP descent with
-// learnt lower-bound clauses vs decrement-by-one), `device` (a calibrated
+// `device` (a calibrated
 // device description — the path of a device JSON file, or the device JSON
 // itself inline when the string starts with '{'; loaded at parse time, so a
 // malformed file answers in-band with the loader's positioned message; the

@@ -540,18 +540,25 @@ TEST(Satmap, TimesOutOnLargerInstances) {
 TEST(Satmap, IncrementalMatchesMonolithicOnOutcomes) {
   // The acceptance bar for the incremental rewrite: bit-compatible verdicts,
   // minimal T and minimal SWAP count against the re-encode-per-probe oracle,
-  // on every instance CI can afford to solve both ways.
+  // on every instance CI can afford to solve both ways. The incremental
+  // SWAP descent stops at its first UNSAT probe, so one unsound refutation
+  // on the shared solver would leave it above the monolithic optimum.
   struct Case {
     std::int32_t n;
     CouplingGraph graph;
   };
-  const std::vector<Case> cases = {
+  std::vector<Case> cases = {
       {2, make_line(2)},    {3, make_line(3)},    {4, make_line(4)},
-      {4, make_grid(2, 2)}, {5, make_line(5)},
+      {4, make_grid(2, 2)}, {5, make_line(5)},    {6, make_line(6)},
+      {7, make_line(7)},
       // Spare physical cells (n < np): movement may slide a qubit into an
       // empty neighbour instead of exchanging with an occupant.
       {3, make_grid(2, 2)}, {5, make_grid(2, 3)},
   };
+  cases.push_back({6, DeviceModel::load_file(
+                          std::string(QFTO_SOURCE_DIR) +
+                          "/examples/devices/heavyhex7-calibrated.json")
+                          .build_graph()});
   for (const Case& c : cases) {
     SatmapOptions inc;
     inc.time_budget_seconds = 120.0;

@@ -290,21 +290,5 @@ TEST(PortfolioSatmap, OptimaMatchSingleBackendOnLineAndGrid) {
   }
 }
 
-TEST(PortfolioSatmap, LinearDescentMatchesCoreGuidedDescent) {
-  // The bisecting SWAP descent must land on the same minimum as the
-  // decrement-by-one loop it replaced (both are complete searches).
-  const CouplingGraph g = make_line(5);
-  SatmapOptions bisect;
-  bisect.time_budget_seconds = 120.0;
-  SatmapOptions linear = bisect;
-  linear.core_guided = false;
-  const SatmapResult a = satmap_route(qft_logical(5), g, bisect);
-  const SatmapResult b = satmap_route(qft_logical(5), g, linear);
-  ASSERT_TRUE(a.solved);
-  ASSERT_TRUE(b.solved);
-  EXPECT_EQ(a.layers, b.layers);
-  EXPECT_EQ(a.swaps, b.swaps);
-}
-
 }  // namespace
 }  // namespace qfto::sat

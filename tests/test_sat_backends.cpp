@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -260,20 +261,23 @@ TEST_P(SatBackend, StatsAccumulateAcrossCalls) {
 
 // Tiny DIMACS reader for the round-trip test below (p-line, unit-terminated
 // clauses, 'c' comments).
-void feed_dimacs(const std::string& text, SolverInterface& s) {
+struct Dimacs {
+  std::int32_t num_vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+};
+
+Dimacs parse_dimacs(const std::string& text) {
+  Dimacs d;
   std::istringstream in(text);
   std::string tok;
-  std::int32_t declared_vars = 0;
   while (in >> tok) {
     if (tok == "c") {
       std::string rest;
       std::getline(in, rest);
     } else if (tok == "p") {
       std::string cnf;
-      in >> cnf >> declared_vars;
       std::int32_t clause_count = 0;
-      in >> clause_count;
-      while (s.num_vars() < declared_vars) s.new_var();
+      in >> cnf >> d.num_vars >> clause_count;
     } else {
       std::vector<Lit> clause;
       std::int32_t l = std::stoi(tok);
@@ -281,9 +285,16 @@ void feed_dimacs(const std::string& text, SolverInterface& s) {
         clause.push_back(l > 0 ? Lit::pos(l - 1) : Lit::neg(-l - 1));
         if (!(in >> l)) break;
       }
-      s.add_clause(std::move(clause));
+      d.clauses.push_back(std::move(clause));
     }
   }
+  return d;
+}
+
+void feed_dimacs(const std::string& text, SolverInterface& s) {
+  Dimacs d = parse_dimacs(text);
+  while (s.num_vars() < d.num_vars) s.new_var();
+  for (auto& clause : d.clauses) s.add_clause(std::move(clause));
 }
 
 TEST_P(SatBackend, DimacsDumpReplaysToTheSameVerdict) {
@@ -463,6 +474,80 @@ TEST(SatBackendRegistry, BackendsAgreeOverIncrementalAssumptionCalls) {
   }
   EXPECT_GT(sat, 100);
   EXPECT_GT(unsat, 100);
+}
+
+/// True when the unit clauses of a DIMACS dump are closed under unit
+/// propagation over its other clauses: no clause is falsified, and none has
+/// exactly one literal left unassigned with the rest false.
+bool root_facts_at_fixpoint(const Dimacs& d) {
+  std::vector<std::int8_t> value(static_cast<std::size_t>(d.num_vars), 0);
+  for (const auto& clause : d.clauses) {
+    if (clause.size() == 1) value[clause[0].var()] = clause[0].sign() ? -1 : 1;
+  }
+  for (const auto& clause : d.clauses) {
+    if (clause.size() < 2) continue;
+    std::size_t open = 0;
+    bool satisfied = false;
+    for (const Lit l : clause) {
+      const std::int8_t v = value[l.var()];
+      if (v == 0) ++open;
+      satisfied |= v == (l.sign() ? -1 : 1);
+    }
+    if (!satisfied && open <= 1) return false;
+  }
+  return true;
+}
+
+TEST(CdclIncremental, RootStaysAtPropagationFixpointAcrossProbes) {
+  // A learnt unit enqueued at the root must be propagated before the next
+  // decision, even when a restart fires in the same conflict iteration:
+  // root simplification strips clauses on the assumption that it was. After
+  // every call the dumped root facts must be closed under unit propagation,
+  // and every verdict must match a fresh solver given the assumptions as
+  // units.
+  std::int64_t conflicts = 0;
+  for (std::uint32_t seed = 0; seed < 400; ++seed) {
+    std::mt19937 rng(seed);
+    const auto nv = static_cast<std::int32_t>(120 + rng() % 20);
+    const auto random_lit = [&rng, nv]() {
+      const auto v = static_cast<std::int32_t>(rng() % nv);
+      return rng() % 2 ? Lit::neg(v) : Lit::pos(v);
+    };
+    std::vector<std::vector<Lit>> clauses;
+    for (std::int32_t c = 0; c < nv / 2; ++c) {
+      clauses.push_back({random_lit(), random_lit()});
+    }
+    for (std::int32_t c = 0; c < nv * 7 / 2; ++c) {
+      clauses.push_back({random_lit(), random_lit(), random_lit()});
+    }
+    auto s = make_solver("cdcl");
+    for (std::int32_t v = 0; v < nv; ++v) s->new_var();
+    for (const auto& cl : clauses) s->add_clause(cl);
+    for (int probe = 0; probe < 6; ++probe) {
+      std::vector<Lit> assumptions;
+      const auto k = rng() % 4;
+      for (std::uint32_t i = 0; i < k; ++i) assumptions.push_back(random_lit());
+      const Result r = s->solve(assumptions);
+      ASSERT_NE(r, Result::kTimeout) << "seed " << seed << " probe " << probe;
+
+      std::ostringstream dump;
+      s->dump_dimacs(dump, {});
+      ASSERT_TRUE(root_facts_at_fixpoint(parse_dimacs(dump.str())))
+          << "seed " << seed << " probe " << probe << " after "
+          << s->stats().conflicts << " conflicts";
+
+      auto fresh = make_solver("cdcl");
+      for (std::int32_t v = 0; v < nv; ++v) fresh->new_var();
+      for (const auto& cl : clauses) fresh->add_clause(cl);
+      for (const Lit a : assumptions) fresh->add_unit(a);
+      ASSERT_EQ(r, fresh->solve({})) << "seed " << seed << " probe " << probe;
+
+      clauses.push_back({random_lit(), random_lit(), random_lit()});
+      s->add_clause(clauses.back());
+    }
+    conflicts += s->stats().conflicts;
+  }
+  EXPECT_GT(conflicts, 0);
 }
 
 }  // namespace

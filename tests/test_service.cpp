@@ -489,11 +489,6 @@ TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
     o.satmap.portfolio_backends = {"cdcl", "dpll"};
     EXPECT_NE(ResultCache::key("lattice", 16, o), k);
   }
-  {
-    MapOptions o;
-    o.satmap.core_guided = false;
-    EXPECT_NE(ResultCache::key("lattice", 16, o), k);
-  }
   // SABRE knobs, same audit.
   {
     MapOptions o;
@@ -592,11 +587,10 @@ TEST(Serve, ParsesTheSatBackendKnobs) {
 TEST(Serve, ParsesThePortfolioKnobs) {
   const ServeRequest req = parse_serve_request(
       R"({"id": 11, "engine": "satmap", "n": 4, "portfolio": true,)"
-      R"( "lanes": 4, "sat_core_guided": false})");
+      R"( "lanes": 4})");
   ASSERT_TRUE(req.ok) << req.error;
   EXPECT_TRUE(req.request.options.satmap.portfolio);
   EXPECT_EQ(req.request.options.satmap.lanes, 4);
-  EXPECT_FALSE(req.request.options.satmap.core_guided);
 
   // Defaults when absent.
   const ServeRequest plain =
@@ -604,7 +598,6 @@ TEST(Serve, ParsesThePortfolioKnobs) {
   ASSERT_TRUE(plain.ok) << plain.error;
   EXPECT_FALSE(plain.request.options.satmap.portfolio);
   EXPECT_EQ(plain.request.options.satmap.lanes, 2);
-  EXPECT_TRUE(plain.request.options.satmap.core_guided);
 
   // Type and range failures come back in-band.
   EXPECT_FALSE(
