@@ -259,8 +259,8 @@ TEST_P(SatBackend, StatsAccumulateAcrossCalls) {
   EXPECT_GE(second.decisions, first.decisions);
 }
 
-// Tiny DIMACS reader for the round-trip test below (p-line, unit-terminated
-// clauses, 'c' comments).
+// Tiny DIMACS reader for the round-trip and fixpoint tests below (p-line,
+// zero-terminated clauses, 'c' comments).
 struct Dimacs {
   std::int32_t num_vars = 0;
   std::vector<std::vector<Lit>> clauses;
