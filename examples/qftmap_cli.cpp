@@ -7,7 +7,7 @@
 //   qftmap --arch lattice   --m 12  [--synced]
 //   qftmap --arch sabre     --n 16  [--trials T]
 //   qftmap --arch satmap    --n 5   [--budget SECONDS] [--solver BACKEND]
-//                                   [--monolithic-sat] [--dump-cnf FILE.cnf]
+//                                   [--dump-cnf FILE.cnf]
 //   qftmap --arch sycamore  --input circuit.qasm
 //   qftmap --device examples/devices/grid9-noisy.json --input circuit.qasm
 //                                   [--objective fidelity]
@@ -91,8 +91,8 @@ int usage(const char* argv0) {
       "[--device FILE.json] [--objective depth|fidelity] "
       "[--out FILE] [--strict-ie] "
       "[--synced] [--trials T] [--budget SECONDS] [--solver BACKEND] "
-      "[--solver-plugin [NAME=]LIB.so] [--portfolio] [--lanes L] "
-      "[--monolithic-sat] [--dump-cnf FILE] [--aqft K] [--cnot-basis] "
+      "[--solver-plugin [NAME=]LIB.so] [--dump-cnf FILE] [--aqft K] "
+      "[--cnot-basis] "
       "[--quiet]\n       %s --serve [--threads T] [--cache-entries N] "
       "[--cache-ttl-seconds S] "
       "[--listen HOST:PORT] [--max-inflight N] [--max-pending N] "
@@ -313,15 +313,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--solver-plugin: %s\n", e.what());
         return 2;
       }
-    } else if (a == "--portfolio") {
-      opts.satmap.portfolio = true;
-    } else if (a == "--lanes") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.satmap.lanes = std::atoi(v);
-      if (opts.satmap.lanes < 1) return usage(argv[0]);
-    } else if (a == "--monolithic-sat") {
-      opts.satmap.incremental = false;
     } else if (a == "--dump-cnf") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -472,10 +463,6 @@ int main(int argc, char** argv) {
                     static_cast<long long>(result.timings.sat.decisions),
                     static_cast<long long>(result.timings.sat.restarts),
                     static_cast<long long>(result.timings.sat.solve_calls));
-        if (!result.timings.sat_winner.empty()) {
-          std::printf("portfolio win  : %s\n",
-                      result.timings.sat_winner.c_str());
-        }
       }
       if (sim_err >= 0) std::printf("simulation err : %.2e\n", sim_err);
       if (aqft > 0 || cnot_basis) {

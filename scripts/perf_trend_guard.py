@@ -15,11 +15,9 @@ by more than the threshold. Guarded series:
     line and a 700-CX circuit on the grid), with the loose 0.50 threshold:
     each is a single-iteration route whose time swings with the runner;
   * BENCH_sat.json      — items_per_second of the satmap_route_full/* family
-    (SAT probes/s through the default single-lane solver that SATMAP uses)
-    and of the satmap_portfolio/* family (SAT probes/s through the racing
-    portfolio), with a per-guard threshold: a single Iterations(1) SAT
-    search is far noisier than the throughput families, so only halvings
-    fail the gate;
+    (SAT probes/s through SATMAP's search driver on the cdcl backend), with
+    a per-guard threshold: a single Iterations(1) SAT search is far noisier
+    than the throughput families, so only halvings fail the gate;
   * BENCH_aqft.json     — items_per_second of the fidelity_route/* families
     (gates/s through SABRE's calibrated-device routing, depth and fidelity
     objectives), with the same loose 0.50 threshold.
@@ -42,8 +40,7 @@ GUARDS = [
     ("BENCH_checker.json", ("verify_",), "verify throughput", None),
     ("BENCH_service.json", ("socket_",), "socket req/s", None),
     ("BENCH_sabre.json", ("route_",), "SABRE routed gates/s", 0.50),
-    ("BENCH_sat.json", ("satmap_route_full/",), "single-lane probes/s", 0.50),
-    ("BENCH_sat.json", ("satmap_portfolio/",), "portfolio probes/s", 0.50),
+    ("BENCH_sat.json", ("satmap_route_full/",), "SATMAP probes/s", 0.50),
     # Calibrated-device routing: SABRE trial counts dominate and are noisy
     # run to run, so like the SAT family only halvings fail the gate.
     ("BENCH_aqft.json", ("fidelity_route/",), "fidelity-aware routing", 0.50),

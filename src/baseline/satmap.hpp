@@ -8,19 +8,14 @@
 // SWAP fewer than the best model so far, and the first UNSAT proves it
 // optimal.
 //
-// Two search drivers share the encoding:
-//  - incremental (default): ONE solver instance for the whole search. Each
-//    horizon T's "every gate executes by T" constraint is gated behind a
-//    fresh activation literal, deepening solves under the assumption of the
-//    current horizon's activator (retiring the previous one with a unit),
-//    and the SWAP descent tightens a sequential-counter output chain with
-//    assumptions — so learnt clauses, saved phases and activity carry across
-//    every probe instead of being rebuilt and thrown away. A run pays for
-//    exactly one UNSAT proof in the descent, its last probe.
-//  - monolithic: the paper-faithful re-encode-per-probe loop, kept as the
-//    differential oracle and the bench_sat baseline.
-// Both drivers produce the same solved/TLE/cancelled verdicts, the same
-// minimal T and the same minimal SWAP count.
+// One search driver: ONE solver instance for the whole search. Each horizon
+// T's "every gate executes by T" constraint is gated behind a fresh
+// activation literal, deepening solves under the assumption of the current
+// horizon's activator (retiring the previous one with a unit), and the SWAP
+// descent tightens a sequential-counter output chain with assumptions — so
+// learnt clauses, saved phases and activity carry across every probe
+// instead of being rebuilt and thrown away. A run pays for exactly one UNSAT
+// proof in the descent, its last probe.
 //
 // As in the paper (Table 1), the search space explodes with qubit count:
 // expect answers only for the smallest instances and TLE elsewhere — that
@@ -29,7 +24,6 @@
 
 #include <atomic>
 #include <string>
-#include <vector>
 
 #include "arch/coupling_graph.hpp"
 #include "circuit/circuit.hpp"
@@ -44,30 +38,10 @@ struct SatmapOptions {
   bool minimize_swaps = true;
 
   /// SAT backend registry key (see sat::solver_backend_names()): "cdcl" is
-  /// the in-tree CDCL engine, "dpll" the reference backend for differential
-  /// testing. Unknown names throw std::invalid_argument at route time.
+  /// the in-tree CDCL engine; IPASIR plugins register under their own names
+  /// (sat/federation/ipasir_bridge.hpp). Unknown names throw
+  /// std::invalid_argument at route time.
   std::string solver = "cdcl";
-
-  /// Drive the search on one incremental instance (assumption-based
-  /// deepening); off re-encodes from scratch for every probe. Outcomes are
-  /// identical — the flag exists so the two paths stay comparable in tests
-  /// and benchmarks.
-  bool incremental = true;
-
-  /// Race each probe across `lanes` diversified solver instances — the
-  /// first definitive verdict wins and cancels the sibling lanes
-  /// (src/sat/federation/portfolio.hpp). Verdicts, minimal T and minimal
-  /// SWAP count are identical to a single-backend run; which lane decides
-  /// each probe (and therefore which of the equally-optimal schedules is
-  /// extracted) is wall-clock dependent. The effective lane count is
-  /// clamped to the machine's hardware concurrency — racing more lanes
-  /// than cores only time-slices them against one another.
-  bool portfolio = false;
-  std::int32_t lanes = 2;
-
-  /// Backends spread round-robin across portfolio lanes; empty -> every
-  /// lane runs `solver`, told apart by diversification seeds.
-  std::vector<std::string> portfolio_backends;
 
   /// Cooperative cancellation: when non-null, satmap_route polls the flag
   /// between deepening layers and the solver polls it inside the search
@@ -85,27 +59,20 @@ struct SatmapOptions {
   /// numbers as SatmapResult::stats). Serving knob the pipeline uses to
   /// surface stats into MapResult::timings without widening MapperEngine.
   sat::SolverStats* stats_out = nullptr;
-
-  /// When non-null, receives SatmapResult::winner (see there). Serving
-  /// knob, mirroring stats_out.
-  std::string* winner_out = nullptr;
 };
 
 struct SatmapResult {
+  /// All three false: no schedule within SatmapOptions::max_layers.
   bool solved = false;     // found a provably depth-minimal schedule
-  bool timed_out = false;  // TLE (the Table 1 outcome for >= 10 qubits)
+  bool timed_out = false;  // deadline expired (the Table 1 TLE outcome)
   bool cancelled = false;  // SatmapOptions::cancel flipped mid-solve
   MappedCircuit mapped;    // valid when solved
   std::int32_t layers = 0;
   std::int64_t swaps = 0;
   double seconds = 0.0;
   /// Cumulative search effort across every probe (deepening + SWAP
-  /// minimization), summed over solver instances on the monolithic path —
-  /// and over every racing lane (losers included) on a portfolio run.
+  /// minimization).
   sat::SolverStats stats;
-  /// Portfolio runs: label of the lane that decided the last definitive
-  /// probe ("cdcl#1"). Empty for single-backend runs.
-  std::string winner;
 };
 
 /// Routes an arbitrary logical circuit; dependencies are its strict DAG.

@@ -104,13 +104,9 @@ void timed_map_stage(MapResult& result, const MapOptions& opts,
   WallTimer timer;
   MapOptions map_opts = opts;
   map_opts.satmap.stats_out = &result.timings.sat;
-  map_opts.satmap.winner_out = &result.timings.sat_winner;
   const auto copy_back_stats = [&]() {
     if (opts.satmap.stats_out != nullptr) {
       *opts.satmap.stats_out = result.timings.sat;
-    }
-    if (opts.satmap.winner_out != nullptr) {
-      *opts.satmap.winner_out = result.timings.sat_winner;
     }
   };
   try {

@@ -138,10 +138,6 @@ struct MapTimings {
   /// the analytical engines. Zeroed on cache hits like the wall-clock
   /// fields: no work was done.
   sat::SolverStats sat;
-  /// Portfolio-racing provenance: the lane that decided the last definitive
-  /// SAT probe ("cdcl#1"). Empty for non-portfolio (and non-SAT) runs, and
-  /// zeroed on cache hits with the rest of the struct.
-  std::string sat_winner;
   double total_seconds() const { return map_seconds + check_seconds; }
 };
 

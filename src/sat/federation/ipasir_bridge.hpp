@@ -3,7 +3,7 @@
 // dlopen'ed once (load_solver_plugin / QFTO_SOLVER_PLUGINS), its surface is
 // resolved into an IpasirApi table, and a factory minting IpasirSolver
 // instances over that table is registered in the same string-keyed backend
-// registry the in-tree "cdcl"/"dpll" engines live in — SATMAP, the serve
+// registry the in-tree "cdcl" engine lives in — SATMAP, the serve
 // path and the conformance battery reach a federated solver exactly the way
 // they reach a built-in one, by name.
 //

@@ -13,15 +13,6 @@ const std::vector<Lit> Solver::kNoAssumptions;
 
 namespace {
 
-/// SplitMix64 finalizer — the per-variable hash behind diversify(). Local
-/// so the solver stays dependency-free.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 constexpr double kVarDecay = 0.95;
 constexpr float kClauseDecay = 0.999f;
 /// Header bit reduce_learnts() uses to mark reasons, then doomed clauses.
@@ -39,31 +30,9 @@ std::int32_t Solver::new_var() {
   seen_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
-  if (diversify_seed_ != 0) {
-    const std::uint64_t h = mix64(diversify_seed_ ^ static_cast<std::uint64_t>(v));
-    phase_.back() = static_cast<std::uint8_t>(h & 1);
-    // Sub-unit jitter: breaks activity ties between lanes without ever
-    // outranking a genuinely bumped variable.
-    activity_.back() = static_cast<double>(h >> 40) * 1e-9;
-  }
   heap_pos_.push_back(-1);
   heap_insert(v);
   return v;
-}
-
-void Solver::diversify(std::uint64_t seed) {
-  diversify_seed_ = seed;
-  for (std::int32_t v = 0; v < num_vars(); ++v) {
-    if (seed == 0) {
-      phase_[v] = 0;
-      activity_[v] = 0.0;
-      continue;
-    }
-    const std::uint64_t h = mix64(seed ^ static_cast<std::uint64_t>(v));
-    phase_[v] = static_cast<std::uint8_t>(h & 1);
-    activity_[v] = static_cast<double>(h >> 40) * 1e-9;
-  }
-  heap_rebuild();
 }
 
 // ------------------------------------------------------------ VSIDS heap --
@@ -117,17 +86,6 @@ std::int32_t Solver::heap_pop() {
     heap_sift_down(0);
   }
   return top;
-}
-
-void Solver::heap_rebuild() {
-  heap_.resize(num_vars());
-  for (std::int32_t v = 0; v < num_vars(); ++v) {
-    heap_[v] = v;
-    heap_pos_[v] = v;
-  }
-  for (std::int32_t pos = num_vars() / 2 - 1; pos >= 0; --pos) {
-    heap_sift_down(pos);
-  }
 }
 
 // --------------------------------------------------------- clause arena --

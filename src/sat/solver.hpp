@@ -81,12 +81,6 @@ class Solver final : public SolverInterface {
     terminate_ = std::move(hook);
   }
 
-  /// Seeds per-variable phase/activity jitter so portfolio lanes explore
-  /// the space in different orders; applies to existing variables and, via
-  /// the stored seed, to every variable created later. Seed 0 restores the
-  /// deterministic default (all-false phases, zero activity).
-  void diversify(std::uint64_t seed) override;
-
   std::int64_t num_conflicts() const { return conflicts_; }
   std::int64_t num_decisions() const { return decisions_; }
   std::int64_t num_clauses() const { return num_original_ + num_learnts_; }
@@ -158,7 +152,6 @@ class Solver final : public SolverInterface {
   void heap_sift_up(std::int32_t pos);
   void heap_sift_down(std::int32_t pos);
   std::int32_t heap_pop();
-  void heap_rebuild();
 
   std::vector<Lit> arena_;
   std::int64_t num_original_ = 0;
@@ -183,7 +176,6 @@ class Solver final : public SolverInterface {
   std::int64_t solve_calls_ = 0;
   std::int64_t next_reduce_ = kReduceInterval;  // conflict count
   std::function<bool()> terminate_;
-  std::uint64_t diversify_seed_ = 0;
 
   // analyze() scratch, kept across conflicts so a conflict allocates
   // nothing: seen_ is all-zero between calls (only marked entries are

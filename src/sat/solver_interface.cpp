@@ -7,7 +7,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "sat/dpll_solver.hpp"
 #include "sat/solver.hpp"
 
 namespace qfto::sat {
@@ -58,9 +57,6 @@ struct Registry {
   Registry() {
     factories["cdcl"] = [] {
       return std::unique_ptr<SolverInterface>(std::make_unique<Solver>());
-    };
-    factories["dpll"] = [] {
-      return std::unique_ptr<SolverInterface>(std::make_unique<DpllSolver>());
     };
   }
 

@@ -4,8 +4,10 @@
 // the IPASIR surface standardized across solver competitions): new_var /
 // add_clause / solve-under-assumptions / value / stats. Backends register in
 // a string-keyed registry mirroring the MapperEngine registry in
-// src/pipeline/, so alternative engines plug in behind SatmapOptions::solver
-// without the encoding layer changing.
+// src/pipeline/. Production ships one engine, "cdcl" (sat/solver.hpp); an
+// external solver plugs in behind SatmapOptions::solver through the IPASIR
+// bridge (sat/federation/ipasir_bridge.hpp) without the encoding layer
+// changing, and tests register reference backends of their own.
 //
 // Incremental contract:
 //  - Clauses only accumulate; there is no retraction. Constraints that must
@@ -75,7 +77,7 @@ class SolverInterface {
  public:
   virtual ~SolverInterface() = default;
 
-  /// Registry key this backend was created under ("cdcl", "dpll", ...).
+  /// Registry key this backend was created under ("cdcl", a plugin name).
   virtual std::string name() const = 0;
 
   /// Creates a fresh variable, returns its index.
@@ -106,14 +108,6 @@ class SolverInterface {
   /// Cumulative counters across all solve() calls on this instance.
   virtual SolverStats stats() const = 0;
 
-  /// Portfolio hook: perturb heuristic state (branching order, saved
-  /// phases) deterministically from `seed` so racing lanes explore the
-  /// search space in different orders. Never changes verdicts or the set of
-  /// models — only which one a kSat call lands on first. Backends without a
-  /// useful notion of it (dpll's fixed order, external IPASIR solvers)
-  /// inherit this no-op.
-  virtual void diversify(std::uint64_t /*seed*/) {}
-
   /// Debug hook: writes the accumulated *original* instance (root-level
   /// facts as units, no learnt clauses) in DIMACS CNF, appending
   /// `extra_units` — typically the assumptions of the probe being debugged —
@@ -141,8 +135,9 @@ void write_dimacs(std::ostream& out, const std::string& backend,
 
 using SolverFactory = std::function<std::unique_ptr<SolverInterface>()>;
 
-/// Registers (or replaces, by name) a backend factory. The two in-tree
-/// backends ("cdcl", "dpll") are pre-registered.
+/// Registers (or replaces, by name) a backend factory. The in-tree "cdcl"
+/// backend is pre-registered; external solvers arrive through
+/// sat::load_solver_plugin (sat/federation/ipasir_bridge.hpp).
 void register_solver_backend(const std::string& name, SolverFactory factory);
 
 /// Registered keys, sorted.

@@ -94,22 +94,11 @@ std::string ResultCache::key(const std::string& engine, std::int32_t native_n,
   k += ',';
   k += opts.satmap.minimize_swaps ? '1' : '0';
   k += ',';
-  // A stale hit across solver backends or search drivers would silently
-  // return wrong-backend results; both knobs shape the (non-deterministic
-  // TLE-vs-solved) outcome, so they fragment the key even though SATMAP
-  // itself is never cached today.
+  // A stale hit across solver backends would silently return wrong-backend
+  // results; the backend shapes the (non-deterministic TLE-vs-solved)
+  // outcome, so it fragments the key even though SATMAP itself is never
+  // cached today.
   k += opts.satmap.solver;
-  k += ',';
-  k += opts.satmap.incremental ? '1' : '0';
-  k += ',';
-  k += opts.satmap.portfolio ? '1' : '0';
-  k += ',';
-  k += std::to_string(opts.satmap.lanes);
-  k += ',';
-  for (const std::string& backend : opts.satmap.portfolio_backends) {
-    k += backend;
-    k += '+';
-  }
   k += "|verify=";
   k += opts.verify ? '1' : '0';
   k += static_cast<char>('0' + static_cast<int>(opts.verify_mode));
@@ -226,9 +215,12 @@ ResultCache::Stats ResultCache::stats() const {
 namespace {
 
 // Version 2 added the per-entry "fid" record (MapResult::log10_fidelity).
-// A v1 file fails the magic check and the service starts cold — acceptable
-// for a cache, never silently wrong.
-constexpr const char* kCacheMagic = "qftmap-cache 2";
+// Version 3 dropped the characters of retired SATMAP search options from
+// every ResultCache::key (not only SATMAP keys), so no request can hit a v2
+// entry any more; loading one would only hold LRU capacity. An older file
+// fails the magic check and the service starts cold — acceptable for a
+// cache, never silently wrong.
+constexpr const char* kCacheMagic = "qftmap-cache 3";
 
 void write_blob(std::ostream& out, const char* tag, const std::string& bytes) {
   out << tag << ' ' << bytes.size() << '\n' << bytes << '\n';

@@ -2,7 +2,6 @@
 
 #include "arch/device_model.hpp"
 #include "qasm/qasm.hpp"
-#include "sat/federation/portfolio.hpp"
 
 #include <cctype>
 #include <cmath>
@@ -430,25 +429,6 @@ ServeRequest parse_serve_request(std::string_view line) {
         return req;
       }
       req.request.options.satmap.solver = value.str;
-    } else if (key == "sat_incremental") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"sat_incremental\" must be a bool";
-        return req;
-      }
-      req.request.options.satmap.incremental = value.flag;
-    } else if (key == "portfolio") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"portfolio\" must be a bool";
-        return req;
-      }
-      req.request.options.satmap.portfolio = value.flag;
-    } else if (key == "lanes") {
-      std::int64_t i = 0;
-      if (!as_int(value, i) || i < 1 || i > 64) {
-        req.error = "\"lanes\" must be an integer in [1, 64]";
-        return req;
-      }
-      req.request.options.satmap.lanes = static_cast<std::int32_t>(i);
     } else if (key == "device") {
       // Calibrated device description: a file path, or the device JSON
       // itself inline when the string starts with '{' (after optional
@@ -573,11 +553,6 @@ std::string serve_response_json(const std::string& id, const JobResult& out) {
     s += ",\"sat_decisions\":" + std::to_string(r.timings.sat.decisions);
     s += ",\"sat_restarts\":" + std::to_string(r.timings.sat.restarts);
     s += ",\"sat_solve_calls\":" + std::to_string(r.timings.sat.solve_calls);
-    if (!r.timings.sat_winner.empty()) {
-      // Portfolio provenance: which racing lane decided the run.
-      s += ",\"portfolio_winner\":\"" + json_escape(r.timings.sat_winner) +
-           "\"";
-    }
   }
   s += ",\"cache_hit\":";
   s += r.cache_hit ? "true" : "false";
@@ -656,22 +631,6 @@ std::string metrics_json(const MappingService& service,
   s += ",\"decisions\":" + count(metrics.sat_decisions);
   s += ",\"restarts\":" + count(metrics.sat_restarts);
   s += ",\"solve_calls\":" + count(metrics.sat_solve_calls) + "}";
-  {
-    // Process-wide portfolio racing counters (every PortfolioSolver in the
-    // process, not just served jobs): races run, losing lanes cancelled,
-    // and the per-backend win table the lane-ordering heuristic feeds on.
-    const sat::PortfolioCounters pf = sat::portfolio_counters();
-    s += ",\"portfolio\":{\"races\":" + std::to_string(pf.races);
-    s += ",\"lane_cancellations\":" + std::to_string(pf.lane_cancellations);
-    s += ",\"wins\":{";
-    bool first = true;
-    for (const auto& [backend, wins] : pf.wins_by_backend) {
-      if (!first) s += ',';
-      first = false;
-      s += "\"" + json_escape(backend) + "\":" + std::to_string(wins);
-    }
-    s += "}}";
-  }
   const auto histogram = [&s](const char* name,
                               const net::LatencyHistogram& h) {
     s += ",\"";

@@ -23,20 +23,15 @@
 // `verify` (bool, default true), `strict_ie`, `synced`, `trials`, `seed`,
 // `budget` (SATMAP seconds), `solver` (SAT backend registry key, default
 // "cdcl"; IPASIR plugins loaded at startup answer to their registry name
-// here too), `sat_incremental` (bool, default true: one incremental SAT
-// instance per SATMAP run vs re-encoding per probe), `portfolio` (bool,
-// default false: race each SAT probe across diversified lanes, first
-// definitive verdict wins), `lanes` (integer in [1, 64], default 2; the
-// effective count is clamped to the machine's cores at run time),
-// `device` (a calibrated
-// device description — the path of a device JSON file, or the device JSON
-// itself inline when the string starts with '{'; loaded at parse time, so a
-// malformed file answers in-band with the loader's positioned message; the
-// routed engines map onto its graph, verification charges its latency
-// table, and the cache key carries its content fingerprint), `objective`
-// ("depth" | "fidelity": what SABRE optimizes — fidelity scores candidate
-// SWAPs by calibrated expected log-success). Unknown fields are an
-// error, so typos fail loudly instead of silently mapping with defaults.
+// here too), `device` (a calibrated device description — the path of a
+// device JSON file, or the device JSON itself inline when the string starts
+// with '{'; loaded at parse time, so a malformed file answers in-band with
+// the loader's positioned message; the routed engines map onto its graph,
+// verification charges its latency table, and the cache key carries its
+// content fingerprint), `objective` ("depth" | "fidelity": what SABRE
+// optimizes — fidelity scores candidate SWAPs by calibrated expected
+// log-success). Unknown fields are an error, so typos fail loudly instead
+// of silently mapping with defaults.
 // String values accept the full JSON escape set including \uXXXX (surrogate
 // pairs encode as UTF-8).
 //
@@ -52,20 +47,15 @@
 //             "expired":...,"entries":...,"capacity":...},
 //    "devices":{"loaded":...,"load_errors":...},
 //    "sat":{"conflicts":...,"decisions":...,"restarts":...,"solve_calls":...},
-//    "portfolio":{"races":...,"lane_cancellations":...,
-//                 "wins":{"cdcl":...,...}},
 //    "map_seconds":{"count":...,"p50":...,"p99":...},
 //    "queue_seconds":{"count":...,"p50":...,"p99":...}}
 //
 // `cache` mirrors MappingService::cache_stats(); `sat` totals the solver
-// effort of every completed job; `portfolio` snapshots the process-wide
-// racing counters (sat::portfolio_counters()); the latency quantiles come
-// from streaming histograms (~19% relative resolution, see
-// net::LatencyHistogram).
+// effort of every completed job; the latency quantiles come from streaming
+// histograms (~19% relative resolution, see net::LatencyHistogram).
 //
 // SAT-backed responses additionally carry sat_conflicts/sat_decisions/
-// sat_restarts/sat_solve_calls, plus "portfolio_winner" (the racing lane
-// that decided the run, e.g. "cdcl#1") when the request ran a portfolio.
+// sat_restarts/sat_solve_calls.
 //
 // Responses stream in request order, each flushed as soon as its job
 // completes (jobs themselves run concurrently and may be reordered by

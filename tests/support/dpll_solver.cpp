@@ -1,6 +1,7 @@
-#include "sat/dpll_solver.hpp"
+#include "support/dpll_solver.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <ostream>
 
 #include "common/timer.hpp"
@@ -226,6 +227,12 @@ void DpllSolver::dump_dimacs(std::ostream& out,
   for (const auto& lits : clauses_) original.push_back(&lits);
   write_dimacs(out, name(), unsat_, num_vars(), trail_.data(), root_end,
                original, extra_units);
+}
+
+void register_dpll_backend() {
+  register_solver_backend("dpll", [] {
+    return std::unique_ptr<SolverInterface>(std::make_unique<DpllSolver>());
+  });
 }
 
 }  // namespace qfto::sat

@@ -1,11 +1,15 @@
-// Reference "dpll" backend: iterative DPLL with two-watched-literal unit
-// propagation, chronological backtracking and a fixed branching order — no
-// learning, no restarts, no heuristics. Deliberately simple: its job is
-// differential testing of the clever backend (same verdicts on every
-// instance the conformance suite and small SATMAP probes can reach), not
-// performance. Supports the full SolverInterface contract, including
+// Test-only reference "dpll" backend: iterative DPLL with two-watched-literal
+// unit propagation, chronological backtracking and a fixed branching order —
+// no learning, no restarts, no heuristics. Deliberately simple: its job is
+// differential testing of the production "cdcl" backend (same verdicts on
+// every instance the conformance suite and small SATMAP probes can reach),
+// not performance. Supports the full SolverInterface contract, including
 // solve-under-assumptions (assumptions are non-flippable prefix decisions)
 // and incremental clause addition between calls.
+//
+// The library does not register it: a test calls register_dpll_backend()
+// before it names "dpll" (an explicit call, because the linker drops
+// unreferenced archive members, static initializers included).
 #pragma once
 
 #include <atomic>
@@ -72,5 +76,9 @@ class DpllSolver final : public SolverInterface {
   std::int64_t propagations_ = 0;
   std::int64_t solve_calls_ = 0;
 };
+
+/// Registers DpllSolver under "dpll" in the solver backend registry.
+/// Idempotent: a second call replaces the factory with an identical one.
+void register_dpll_backend();
 
 }  // namespace qfto::sat

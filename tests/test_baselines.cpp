@@ -25,6 +25,9 @@
 #include "circuit/stats.hpp"
 #include "common/prng.hpp"
 #include "mapper/lnn_mapper.hpp"
+#include "pipeline/mapper_pipeline.hpp"
+#include "support/dpll_solver.hpp"
+#include "support/satmap_reference.hpp"
 #include "verify/equivalence.hpp"
 #include "verify/qft_checker.hpp"
 
@@ -537,12 +540,35 @@ TEST(Satmap, TimesOutOnLargerInstances) {
   EXPECT_TRUE(r.timed_out);
 }
 
+TEST(Satmap, ExhaustedLayerBoundIsNotATimeout) {
+  // QFT-4's strict critical path is longer than 3 layers, so max_layers = 3
+  // leaves nothing to deepen into: the run ends unsolved well inside its
+  // budget, and that must not be reported as the Table 1 TLE outcome.
+  SatmapOptions opts;
+  opts.time_budget_seconds = 60.0;
+  opts.max_layers = 3;
+  const SatmapResult r = satmap_route(qft_logical(4), make_line(4), opts);
+  EXPECT_FALSE(r.solved);
+  EXPECT_FALSE(r.timed_out);
+  EXPECT_FALSE(r.cancelled);
+
+  MapOptions map_opts;
+  map_opts.satmap = opts;
+  try {
+    map_qft("satmap", 4, map_opts);
+    ADD_FAILURE() << "an exhausted layer bound must fail the request";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "satmap: no schedule within the layer bound");
+  }
+}
+
 TEST(Satmap, IncrementalMatchesMonolithicOnOutcomes) {
-  // The acceptance bar for the incremental rewrite: bit-compatible verdicts,
-  // minimal T and minimal SWAP count against the re-encode-per-probe oracle,
-  // on every instance CI can afford to solve both ways. The incremental
-  // SWAP descent stops at its first UNSAT probe, so one unsound refutation
-  // on the shared solver would leave it above the monolithic optimum.
+  // The production driver against the re-encode-per-probe reference
+  // (satmap_route_reference): the same verdicts, minimal T and minimal SWAP
+  // count on every instance CI can afford to solve both ways. The
+  // production SWAP descent stops at its first UNSAT probe, so one unsound
+  // refutation on the shared solver would leave it above the reference
+  // optimum.
   struct Case {
     std::int32_t n;
     CouplingGraph graph;
@@ -560,14 +586,13 @@ TEST(Satmap, IncrementalMatchesMonolithicOnOutcomes) {
                           "/examples/devices/heavyhex7-calibrated.json")
                           .build_graph()});
   for (const Case& c : cases) {
-    SatmapOptions inc;
-    inc.time_budget_seconds = 120.0;
-    SatmapOptions mono = inc;
-    mono.incremental = false;
-    const SatmapResult a = satmap_route(qft_logical(c.n), c.graph, inc);
-    const SatmapResult b = satmap_route(qft_logical(c.n), c.graph, mono);
-    ASSERT_TRUE(a.solved) << "incremental TLE at n=" << c.n;
-    ASSERT_TRUE(b.solved) << "monolithic TLE at n=" << c.n;
+    SatmapOptions opts;
+    opts.time_budget_seconds = 120.0;
+    const SatmapResult a = satmap_route(qft_logical(c.n), c.graph, opts);
+    const SatmapResult b =
+        satmap_route_reference(qft_logical(c.n), c.graph, opts);
+    ASSERT_TRUE(a.solved) << "production TLE at n=" << c.n;
+    ASSERT_TRUE(b.solved) << "reference TLE at n=" << c.n;
     EXPECT_EQ(a.layers, b.layers) << "minimal T diverged at n=" << c.n;
     EXPECT_EQ(a.swaps, b.swaps) << "minimal SWAPs diverged at n=" << c.n;
     const auto chk_a = check_qft_mapping(a.mapped, c.graph);
@@ -583,20 +608,21 @@ TEST(Satmap, SpareCellSlidesExtractValidCircuits) {
   // physical cell. extract() used to emit such a slide only when it went
   // toward a higher physical id (the paired-transposition dedup), silently
   // teleporting down-moves and corrupting the mapped circuit.
-  for (const bool incremental : {true, false}) {
+  for (const bool reference : {false, true}) {
     for (const bool minimize : {true, false}) {
       const CouplingGraph g = make_grid(2, 2);
       SatmapOptions opts;
       opts.time_budget_seconds = 120.0;
-      opts.incremental = incremental;
       opts.minimize_swaps = minimize;
-      const SatmapResult r = satmap_route(qft_logical(3), g, opts);
-      ASSERT_TRUE(r.solved) << "inc=" << incremental << " min=" << minimize;
+      const SatmapResult r =
+          reference ? satmap_route_reference(qft_logical(3), g, opts)
+                    : satmap_route(qft_logical(3), g, opts);
+      ASSERT_TRUE(r.solved) << "ref=" << reference << " min=" << minimize;
       const auto chk = check_qft_mapping(r.mapped, g);
-      ASSERT_TRUE(chk.ok) << "inc=" << incremental << " min=" << minimize
+      ASSERT_TRUE(chk.ok) << "ref=" << reference << " min=" << minimize
                           << ": " << chk.error;
       EXPECT_LT(mapped_equivalence_error(r.mapped), 1e-9)
-          << "inc=" << incremental << " min=" << minimize;
+          << "ref=" << reference << " min=" << minimize;
     }
   }
 }
@@ -604,6 +630,7 @@ TEST(Satmap, SpareCellSlidesExtractValidCircuits) {
 TEST(Satmap, DpllBackendSolvesTheSmallestInstances) {
   // The reference backend is exponentially weaker, but must agree with CDCL
   // where it reaches: the differential value of a second registered engine.
+  sat::register_dpll_backend();
   const CouplingGraph g = make_line(3);
   SatmapOptions opts;
   opts.time_budget_seconds = 60.0;
@@ -644,30 +671,25 @@ TEST(Satmap, SurfacesSolverStats) {
 }
 
 TEST(Satmap, DumpCnfExportsTheInFlightInstance) {
-  for (const bool incremental : {true, false}) {
-    const std::string path = ::testing::TempDir() + "satmap_tle_" +
-                             (incremental ? "inc" : "mono") + ".cnf";
-    SatmapOptions opts;
-    opts.time_budget_seconds = 0.5;  // certain TLE on QFT-16 / sycamore
-    opts.incremental = incremental;
-    opts.minimize_swaps = false;
-    opts.dump_cnf_path = path;
-    const SatmapResult r =
-        satmap_route(qft_logical(16), make_sycamore(4), opts);
-    EXPECT_TRUE(r.timed_out);
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "no dump at " << path;
-    std::string line;
-    bool has_problem_line = false;
-    while (std::getline(in, line)) {
-      if (line.rfind("p cnf ", 0) == 0) {
-        has_problem_line = true;
-        break;
-      }
+  const std::string path = ::testing::TempDir() + "satmap_tle.cnf";
+  SatmapOptions opts;
+  opts.time_budget_seconds = 0.5;  // certain TLE on QFT-16 / sycamore
+  opts.minimize_swaps = false;
+  opts.dump_cnf_path = path;
+  const SatmapResult r = satmap_route(qft_logical(16), make_sycamore(4), opts);
+  EXPECT_TRUE(r.timed_out);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "no dump at " << path;
+  std::string line;
+  bool has_problem_line = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("p cnf ", 0) == 0) {
+      has_problem_line = true;
+      break;
     }
-    EXPECT_TRUE(has_problem_line) << path << " is not DIMACS";
-    std::remove(path.c_str());
   }
+  EXPECT_TRUE(has_problem_line) << path << " is not DIMACS";
+  std::remove(path.c_str());
 }
 
 }  // namespace

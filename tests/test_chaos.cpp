@@ -491,10 +491,13 @@ TEST_F(ChaosTest, CorruptCacheEntryCostsExactlyThatEntry) {
   EXPECT_EQ(truncated.stats().entries, 1u);
   EXPECT_EQ(truncated.stats().load_quarantined, 1u);
 
-  // A wrong magic line is still a hard failure — not a cache file at all.
-  ResultCache wrong(1024, 8);
-  std::istringstream bad_magic("not-a-cache\n");
-  EXPECT_FALSE(wrong.load(bad_magic, &error));
+  // A wrong magic line is still a hard failure — not a cache file at all,
+  // or one from a version whose keys no request can hit any more.
+  for (const char* magic : {"not-a-cache\n", "qftmap-cache 2\n"}) {
+    ResultCache wrong(1024, 8);
+    std::istringstream bad_magic(magic);
+    EXPECT_FALSE(wrong.load(bad_magic, &error)) << magic;
+  }
 }
 
 TEST_F(ChaosTest, SaveFileIsAtomicUnderInjectedFailures) {

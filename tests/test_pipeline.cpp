@@ -15,6 +15,7 @@
 #include "pipeline/batch.hpp"
 #include "pipeline/mapper_pipeline.hpp"
 #include "sat/solver_interface.hpp"
+#include "support/dpll_solver.hpp"
 
 namespace qfto {
 namespace {
@@ -309,6 +310,7 @@ TEST(PipelineOptions, SatmapSolverStatsSurfaceIntoTimings) {
 }
 
 TEST(PipelineOptions, SatmapSolverBackendSelectable) {
+  sat::register_dpll_backend();
   MapOptions opts;
   opts.satmap.time_budget_seconds = 60.0;
   opts.satmap.solver = "dpll";

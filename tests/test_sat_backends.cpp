@@ -3,9 +3,10 @@
 // driver leans on — model soundness, cores-free assumption semantics
 // (kUnsat under assumptions never poisons the instance), incremental clause
 // addition, cancel/timeout behaviour, determinism across identical runs,
-// and the DIMACS debug dump. Runs against "cdcl", "dpll" and anything a
-// downstream registers. The mid-solve cancellation test exercises the
-// cross-thread cancel token, which is what the CI TSan leg locks in.
+// and the DIMACS debug dump. Runs against "cdcl", the test-only "dpll"
+// reference and anything a downstream registers. The mid-solve cancellation
+// test exercises the cross-thread cancel token, which is what the CI TSan
+// leg locks in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,14 +22,18 @@
 #include "sat/cardinality.hpp"
 #include "sat/federation/ipasir_bridge.hpp"
 #include "sat/solver_interface.hpp"
+#include "support/dpll_solver.hpp"
 
 namespace qfto::sat {
 namespace {
 
-// Loads the in-tree IPASIR stub .so before INSTANTIATE_TEST_SUITE_P below
-// evaluates solver_backend_names(), so the dlopen'd backend runs the exact
-// same conformance battery as the built-ins. Static-initialization order is
-// top-to-bottom within this TU, which is the only ordering this relies on.
+// Registers the test-only "dpll" reference and loads the in-tree IPASIR stub
+// .so before INSTANTIATE_TEST_SUITE_P below evaluates
+// solver_backend_names(), so both run the exact same conformance battery as
+// the built-in "cdcl". Static-initialization order is top-to-bottom within
+// this TU, which is the only ordering this relies on.
+const bool kDpllRegistered = (register_dpll_backend(), true);
+
 #ifdef QFTO_IPASIR_STUB_PATH
 std::string& stub_load_error() {
   static std::string error;

@@ -469,26 +469,6 @@ TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
     o.satmap.solver = "dpll";
     EXPECT_NE(ResultCache::key("lattice", 16, o), k);
   }
-  {
-    MapOptions o;
-    o.satmap.incremental = false;
-    EXPECT_NE(ResultCache::key("lattice", 16, o), k);
-  }
-  {
-    MapOptions o;
-    o.satmap.portfolio = true;
-    EXPECT_NE(ResultCache::key("lattice", 16, o), k);
-  }
-  {
-    MapOptions o;
-    o.satmap.lanes = 4;
-    EXPECT_NE(ResultCache::key("lattice", 16, o), k);
-  }
-  {
-    MapOptions o;
-    o.satmap.portfolio_backends = {"cdcl", "dpll"};
-    EXPECT_NE(ResultCache::key("lattice", 16, o), k);
-  }
   // SABRE knobs, same audit.
   {
     MapOptions o;
@@ -514,8 +494,6 @@ TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
     o.satmap.dump_cnf_path = "/tmp/debug.cnf";
     sat::SolverStats sink;
     o.satmap.stats_out = &sink;
-    std::string winner_sink;
-    o.satmap.winner_out = &winner_sink;
     EXPECT_EQ(ResultCache::key("lattice", 16, o), k)
         << "debug hooks never shape the result";
   }
@@ -562,10 +540,9 @@ TEST(Serve, ParsesTheDocumentedRequestShape) {
 TEST(Serve, ParsesTheSatBackendKnobs) {
   const ServeRequest req = parse_serve_request(
       R"({"id": 9, "engine": "satmap", "n": 4, "budget": 30.0,)"
-      R"( "solver": "dpll", "sat_incremental": false})");
+      R"( "solver": "dpll"})");
   ASSERT_TRUE(req.ok) << req.error;
   EXPECT_EQ(req.request.options.satmap.solver, "dpll");
-  EXPECT_FALSE(req.request.options.satmap.incremental);
   EXPECT_DOUBLE_EQ(req.request.options.satmap.time_budget_seconds, 30.0);
 
   // Defaults when absent.
@@ -573,42 +550,25 @@ TEST(Serve, ParsesTheSatBackendKnobs) {
       parse_serve_request(R"({"engine": "satmap", "n": 4})");
   ASSERT_TRUE(plain.ok) << plain.error;
   EXPECT_EQ(plain.request.options.satmap.solver, "cdcl");
-  EXPECT_TRUE(plain.request.options.satmap.incremental);
 
   EXPECT_FALSE(
       parse_serve_request(R"({"engine": "satmap", "n": 4, "solver": 3})").ok);
   EXPECT_FALSE(
       parse_serve_request(R"({"engine": "satmap", "n": 4, "solver": ""})").ok);
-  EXPECT_FALSE(parse_serve_request(
-                   R"({"engine": "satmap", "n": 4, "sat_incremental": 1})")
-                   .ok);
 }
 
-TEST(Serve, ParsesThePortfolioKnobs) {
-  const ServeRequest req = parse_serve_request(
-      R"({"id": 11, "engine": "satmap", "n": 4, "portfolio": true,)"
-      R"( "lanes": 4})");
-  ASSERT_TRUE(req.ok) << req.error;
-  EXPECT_TRUE(req.request.options.satmap.portfolio);
-  EXPECT_EQ(req.request.options.satmap.lanes, 4);
-
-  // Defaults when absent.
-  const ServeRequest plain =
-      parse_serve_request(R"({"engine": "satmap", "n": 4})");
-  ASSERT_TRUE(plain.ok) << plain.error;
-  EXPECT_FALSE(plain.request.options.satmap.portfolio);
-  EXPECT_EQ(plain.request.options.satmap.lanes, 2);
-
-  // Type and range failures come back in-band.
-  EXPECT_FALSE(
-      parse_serve_request(R"({"engine": "satmap", "n": 4, "portfolio": 1})")
-          .ok);
-  EXPECT_FALSE(
-      parse_serve_request(R"({"engine": "satmap", "n": 4, "lanes": 0})").ok);
-  EXPECT_FALSE(
-      parse_serve_request(R"({"engine": "satmap", "n": 4, "lanes": 65})").ok);
-  EXPECT_FALSE(
-      parse_serve_request(R"({"engine": "satmap", "n": 4, "lanes": 2.5})").ok);
+TEST(Serve, RejectsTheRetiredSatSearchFields) {
+  // Fields the protocol does not have must fail like any other typo instead
+  // of mapping with defaults, including names older clients may still send.
+  for (const char* field : {"sat_incremental", "portfolio", "lanes"}) {
+    for (const char* value : {"true", "2"}) {
+      const ServeRequest req = parse_serve_request(
+          std::string(R"({"engine": "satmap", "n": 4, ")") + field +
+          "\": " + value + "}");
+      EXPECT_FALSE(req.ok) << field;
+      EXPECT_EQ(req.error, std::string("unknown field \"") + field + "\"");
+    }
+  }
 }
 
 TEST(Serve, SatmapResponsesCarrySolverStats) {
@@ -635,30 +595,6 @@ TEST(Serve, SatmapResponsesCarrySolverStats) {
   EXPECT_NE(lines[2].find("\"ok\":true"), std::string::npos);
   EXPECT_EQ(lines[2].find("\"sat_conflicts\""), std::string::npos)
       << "analytical engines must not grow SAT fields";
-}
-
-TEST(Serve, PortfolioRunsNameTheirWinningLane) {
-  // A portfolio satmap request reports which lane decided it; single-backend
-  // requests keep their pre-PR shape (no portfolio_winner field).
-  std::istringstream in(
-      "{\"id\": 1, \"engine\": \"satmap\", \"n\": 3, \"budget\": 60,"
-      " \"portfolio\": true, \"lanes\": 2}\n"
-      "{\"id\": 2, \"engine\": \"satmap\", \"n\": 3, \"budget\": 60,"
-      " \"cache\": false}\n");
-  std::ostringstream out;
-  MappingService service{service_options(1)};
-  EXPECT_EQ(run_serve_loop(in, out, service), 0);
-
-  std::vector<std::string> lines;
-  std::istringstream reread(out.str());
-  for (std::string line; std::getline(reread, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u) << out.str();
-  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
-  EXPECT_NE(lines[0].find("\"portfolio_winner\":\""), std::string::npos)
-      << lines[0];
-  EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos) << lines[1];
-  EXPECT_EQ(lines[1].find("\"portfolio_winner\""), std::string::npos)
-      << "single-backend responses must not grow the field: " << lines[1];
 }
 
 TEST(Serve, RejectsMalformedLinesWithTheIdEchoed) {
@@ -788,8 +724,6 @@ TEST(Serve, MetricsRequestAnswersInBandAndRejectsMixedShapes) {
   EXPECT_NE(lines[1].find("\"cache\":{"), std::string::npos);
   EXPECT_NE(lines[1].find("\"capacity\":1024"), std::string::npos);
   EXPECT_NE(lines[1].find("\"sat\":{"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"portfolio\":{\"races\":"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"lane_cancellations\":"), std::string::npos);
   EXPECT_NE(lines[1].find("\"map_seconds\":{\"count\":"), std::string::npos);
   EXPECT_NE(lines[2].find("no other fields"), std::string::npos) << lines[2];
   EXPECT_NE(lines[3].find("\\\"metrics\\\" must be true"), std::string::npos)
