@@ -15,6 +15,14 @@
 //   route_circuit/grid/n100 — a seeded 700-CX random circuit (with H/RZ
 //                            between the CXs) on the 10x10 grid, default
 //                            options. items = logical gates routed.
+//   route_qft/heavy_hex_device/n64 — QFT-64 on the builtin heavy-hex-65
+//                            device under the fidelity objective (generic
+//                            BFS rows, every trial routed plain and
+//                            steered), default trials. items = logical
+//                            gates routed.
+//   The route_* families also report SabreStats per route: passes,
+//   blocked_steps, rebuilt_steps (blocked steps that rebuilt the step
+//   state instead of patching it) and swaps.
 //   oracle_query/<topo>/nN — random-pair distance queries through the
 //                            oracle's closed forms. items = queries.
 //   oracle_rows/<topo>/nN  — full row materialization (what DistView pins
@@ -28,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "arch/device_model.hpp"
 #include "arch/grid.hpp"
 #include "arch/lattice_surgery.hpp"
 #include "arch/line.hpp"
@@ -80,20 +89,33 @@ Case& get_case(const std::string& topo, int n) {
   return *cache.emplace(key, std::make_unique<Case>(topo, n)).first->second;
 }
 
+/// Routes `logical` on `g` once per iteration and reports the last route's
+/// size and SabreStats. items = logical gates routed.
+void route_loop(benchmark::State& state, const Circuit& logical,
+                const CouplingGraph& g, SabreOptions opts) {
+  SabreStats stats;
+  opts.stats_out = &stats;
+  std::int64_t emitted = 0;
+  for (auto _ : state) {
+    const MappedCircuit mc = sabre_route(logical, g, opts);
+    emitted = static_cast<std::int64_t>(mc.circuit.size());
+    benchmark::DoNotOptimize(mc.final_mapping.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(logical.size()));
+  state.counters["hw_gates"] = static_cast<double>(emitted);
+  state.counters["passes"] = static_cast<double>(stats.passes);
+  state.counters["blocked_steps"] = static_cast<double>(stats.blocked_steps);
+  state.counters["rebuilt_steps"] = static_cast<double>(stats.rebuilt_steps);
+  state.counters["swaps"] = static_cast<double>(stats.swaps);
+}
+
 void BM_RouteSparse(benchmark::State& state, const std::string& topo, int n) {
   Case& c = get_case(topo, n);
   SabreOptions opts;
   opts.trials = 1;
   opts.seed = 0xfeed;
-  std::int64_t emitted = 0;
-  for (auto _ : state) {
-    const MappedCircuit mc = sabre_route(c.logical, c.graph, opts);
-    emitted = static_cast<std::int64_t>(mc.circuit.size());
-    benchmark::DoNotOptimize(mc.final_mapping.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(c.logical.size()));
-  state.counters["hw_gates"] = static_cast<double>(emitted);
+  route_loop(state, c.logical, c.graph, opts);
 }
 
 void BM_OracleQuery(benchmark::State& state, const std::string& topo, int n) {
@@ -122,20 +144,6 @@ void BM_OracleRows(benchmark::State& state, const std::string& topo, int n) {
     benchmark::DoNotOptimize(row->data());
   }
   state.SetItemsProcessed(state.iterations() * c.graph.num_qubits());
-}
-
-/// Routes `logical` on `g` with default options (five trials, seed 1).
-void BM_RouteDense(benchmark::State& state, const Circuit& logical,
-                   const CouplingGraph& g) {
-  std::int64_t emitted = 0;
-  for (auto _ : state) {
-    const MappedCircuit mc = sabre_route(logical, g);
-    emitted = static_cast<std::int64_t>(mc.circuit.size());
-    benchmark::DoNotOptimize(mc.final_mapping.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(logical.size()));
-  state.counters["hw_gates"] = static_cast<double>(emitted);
 }
 
 Circuit random_cx_circuit(std::int32_t n, std::int32_t cx,
@@ -175,20 +183,29 @@ const int register_all = [] {
       }
     }
   }
+  // Dense routes run at the default five trials and seed 1.
+  static const DeviceModel heavy_hex_device =
+      DeviceModel::builtin("heavy_hex", 64);
+  SabreOptions fidelity;
+  fidelity.fidelity_objective = true;
+  fidelity.device = &heavy_hex_device;
   struct Dense {
     const char* name;
     Circuit logical;
     CouplingGraph graph;
+    SabreOptions opts;
   };
   static const Dense dense[] = {
-      {"route_qft/line/n96", qft_logical(96), make_line(96)},
+      {"route_qft/line/n96", qft_logical(96), make_line(96), {}},
       {"route_circuit/grid/n100", random_cx_circuit(100, 700, 0x5abe700),
-       make_grid(10, 10)},
+       make_grid(10, 10), {}},
+      {"route_qft/heavy_hex_device/n64", qft_logical(64),
+       heavy_hex_device.build_graph(), fidelity},
   };
   for (const Dense& d : dense) {
     benchmark::RegisterBenchmark(d.name,
                                  [&d](benchmark::State& st) {
-                                   BM_RouteDense(st, d.logical, d.graph);
+                                   route_loop(st, d.logical, d.graph, d.opts);
                                  })
         ->Unit(benchmark::kMillisecond);
   }

@@ -58,6 +58,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -68,6 +69,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "arch/device_model.hpp"
 #include "circuit/stats.hpp"
@@ -100,6 +102,43 @@ int usage(const char* argv0) {
       "       %s --list | --list-solvers\n",
       argv0, argv0, argv0);
   return 2;
+}
+
+// Numeric flag ranges. kMaxN is the pipeline's own size ceiling.
+constexpr double kMaxN = 16'777'216;
+constexpr double kMaxM = 4096;  // kMaxM^2 == kMaxN
+constexpr double kMaxInt = 2'147'483'647;
+constexpr double kMaxThreads = 1024;
+constexpr double kMaxCount = 1e12;
+constexpr double kMaxSeconds = 1e9;
+constexpr double kMinBudget = 1e-6;
+
+/// Parses all of `text` as a number in [lo, hi] into `out`. An empty or
+/// missing value, leading blanks, trailing text ("9x", "2.5" for an integer
+/// flag) and out-of-range values (NaN included) are rejected, so a typo
+/// never becomes a silent 0 or a truncated count.
+template <typename T>
+bool parse_number(const char* text, double lo, double hi, T& out) {
+  if (text == nullptr || *text == '\0' ||
+      std::isspace(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_integral_v<T>) {
+    const long long v = std::strtoll(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || !(v >= lo && v <= hi)) {
+      return false;
+    }
+    out = static_cast<T>(v);
+  } else {
+    const double v = std::strtod(text, &end);
+    if (*end != '\0' || errno == ERANGE || !(v >= lo && v <= hi)) {
+      return false;
+    }
+    out = static_cast<T>(v);
+  }
+  return true;
 }
 
 // SIGTERM/SIGINT handler target. request_stop() only stores a lock-free
@@ -204,34 +243,35 @@ int main(int argc, char** argv) {
     } else if (a == "--serve") {
       serve = true;
     } else if (a == "--threads") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      service_opts.num_threads = std::atoi(v);
+      if (!parse_number(next(), 0, kMaxThreads, service_opts.num_threads)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--cache-entries") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      service_opts.cache_capacity =
-          static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(next(), 0, kMaxCount, service_opts.cache_capacity)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--cache-ttl-seconds") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      service_opts.cache_ttl_seconds = std::atof(v);
+      if (!parse_number(next(), 0, kMaxSeconds,
+                        service_opts.cache_ttl_seconds)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--listen") {
       const char* v = next();
       if (!v) return usage(argv[0]);
       listen_spec = v;
     } else if (a == "--max-inflight") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      net_opts.max_inflight = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(next(), 0, kMaxCount, net_opts.max_inflight)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--max-pending") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      net_opts.max_pending_per_conn = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(next(), 0, kMaxCount,
+                        net_opts.max_pending_per_conn)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--drain-seconds") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      net_opts.drain_seconds = std::atof(v);
+      if (!parse_number(next(), 0, kMaxSeconds, net_opts.drain_seconds)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--cache-file") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -279,25 +319,21 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (a == "--n") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      n = std::atoi(v);
+      if (!parse_number(next(), 1, kMaxN, n)) return usage(argv[0]);
     } else if (a == "--m") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      m = std::atoi(v);
+      if (!parse_number(next(), 1, kMaxM, m)) return usage(argv[0]);
     } else if (a == "--aqft") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      aqft = std::atoi(v);
+      if (!parse_number(next(), 1, kMaxInt, aqft)) return usage(argv[0]);
     } else if (a == "--trials") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.sabre.trials = std::atoi(v);
+      if (!parse_number(next(), 1, kMaxInt, opts.sabre.trials)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--budget") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.satmap.time_budget_seconds = std::atof(v);
+      // solve() reads a zero budget as unlimited; a budget must be positive.
+      if (!parse_number(next(), kMinBudget, kMaxSeconds,
+                        opts.satmap.time_budget_seconds)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--solver") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -463,6 +499,15 @@ int main(int argc, char** argv) {
                     static_cast<long long>(result.timings.sat.decisions),
                     static_cast<long long>(result.timings.sat.restarts),
                     static_cast<long long>(result.timings.sat.solve_calls));
+      }
+      if (result.timings.sabre.passes > 0) {
+        const SabreStats& st = result.timings.sabre;
+        std::printf("sabre search   : %lld passes, %lld blocked steps "
+                    "(%lld rebuilt the step state), %lld swaps\n",
+                    static_cast<long long>(st.passes),
+                    static_cast<long long>(st.blocked_steps),
+                    static_cast<long long>(st.rebuilt_steps),
+                    static_cast<long long>(st.swaps));
       }
       if (sim_err >= 0) std::printf("simulation err : %.2e\n", sim_err);
       if (aqft > 0 || cnot_basis) {

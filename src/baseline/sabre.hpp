@@ -16,6 +16,17 @@ namespace qfto {
 
 class DeviceModel;
 
+/// Work counters of one sabre_route / sabre_route_single call, summed over
+/// every trial and pass. A blocked step chooses one SWAP; it rebuilds the
+/// step state (extended set, endpoint index, candidate deltas) only when a
+/// gate executed since the previous step, and patches it otherwise.
+struct SabreStats {
+  std::int64_t passes = 0;         // routing passes, refinement included
+  std::int64_t blocked_steps = 0;  // steps that chose a SWAP
+  std::int64_t rebuilt_steps = 0;  // blocked steps that rebuilt the state
+  std::int64_t swaps = 0;          // SWAPs in the returned route
+};
+
 struct SabreOptions {
   std::uint64_t seed = 1;
   std::int32_t trials = 5;            // independent random restarts
@@ -37,6 +48,10 @@ struct SabreOptions {
   bool fidelity_objective = false;
   double fidelity_weight = 1.0;
   const DeviceModel* device = nullptr;  // not owned; must outlive the route
+
+  /// When set, receives the call's SabreStats (partial if routing throws).
+  /// Shapes no output, so it is not part of the result-cache key.
+  SabreStats* stats_out = nullptr;
 };
 
 /// Routes `logical` onto `g`. The circuit may contain any gate kinds; only

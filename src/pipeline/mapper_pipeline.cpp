@@ -93,8 +93,8 @@ class LiveGuard {
   Deadline deadline_;
 };
 
-/// Runs the map stage with the SAT stats sink installed so SAT-backed
-/// engines report their search effort into MapResult::timings; a caller-
+/// Runs the map stage with the SAT and SABRE stats sinks installed so the
+/// routed engines report their effort into MapResult::timings; a caller-
 /// supplied sink still gets the numbers — also on engine failure (a TLE'd
 /// SATMAP run throws after recording real counters, the primary diagnostic
 /// use of the sink).
@@ -104,9 +104,13 @@ void timed_map_stage(MapResult& result, const MapOptions& opts,
   WallTimer timer;
   MapOptions map_opts = opts;
   map_opts.satmap.stats_out = &result.timings.sat;
+  map_opts.sabre.stats_out = &result.timings.sabre;
   const auto copy_back_stats = [&]() {
     if (opts.satmap.stats_out != nullptr) {
       *opts.satmap.stats_out = result.timings.sat;
+    }
+    if (opts.sabre.stats_out != nullptr) {
+      *opts.sabre.stats_out = result.timings.sabre;
     }
   };
   try {

@@ -138,6 +138,9 @@ struct MapTimings {
   /// the analytical engines. Zeroed on cache hits like the wall-clock
   /// fields: no work was done.
   sat::SolverStats sat;
+  /// SABRE's work counters when the engine routed with SABRE (passes == 0
+  /// otherwise). Zeroed on cache hits like the other fields.
+  SabreStats sabre;
   double total_seconds() const { return map_seconds + check_seconds; }
 };
 

@@ -35,11 +35,11 @@ class ResultCache {
 
   /// Canonical cache key: engine, *native* size, and every MapOptions field
   /// that shapes the result. Serving knobs (cancel, deadline_seconds,
-  /// satmap.dump_cnf_path, satmap.stats_out) and `target` are excluded —
-  /// keys are only built for cacheable requests. General-circuit requests
-  /// pass their circuit: its content fingerprint joins the key, so two
-  /// different circuits of the same size and options occupy distinct
-  /// entries, and a QFT request never aliases a general one.
+  /// satmap.dump_cnf_path, satmap.stats_out, sabre.stats_out) and `target`
+  /// are excluded — keys are only built for cacheable requests.
+  /// General-circuit requests pass their circuit: its content fingerprint
+  /// joins the key, so two different circuits of the same size and options
+  /// occupy distinct entries, and a QFT request never aliases a general one.
   static std::string key(const std::string& engine, std::int32_t native_n,
                          const MapOptions& opts,
                          const Circuit* circuit = nullptr);

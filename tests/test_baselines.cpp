@@ -369,6 +369,48 @@ TEST(SabreGolden, SeededRandomTable) {
   }
 }
 
+TEST(SabreGolden, QftOnHeavyHexDevice64) {
+  // Benchmark scale: long runs of blocked steps that execute no gate, on
+  // generic BFS rows, with every trial routed plain and steered.
+  const DeviceModel dev = DeviceModel::builtin("heavy_hex", 64);
+  const CouplingGraph g = dev.build_graph();
+  SabreOptions opts;
+  opts.trials = 2;
+  opts.fidelity_objective = true;
+  opts.device = &dev;
+  const SabreStream want{0xdc02df90eea84948ull, 0x812723cf6048882dull,
+                         0x405ad0dcb60f7035ull, 3878};
+  EXPECT_EQ(route_stream(qft_logical(64), g, opts), want);
+}
+
+TEST(SabreGolden, RandomCircuitOnHeavyHex64) {
+  // The heavy_hex engine's graph for 64 qubits (65 nodes, closed-form
+  // distances) under 500 random two-qubit gates.
+  Xoshiro256ss rng(0x64500);
+  const Circuit c = random_circuit(64, 500, rng);
+  SabreOptions opts;
+  opts.trials = 1;
+  const SabreStream want{0x10d90eccc300bfddull, 0xda3c1db0a3309c7bull,
+                         0x0592cf26a4971b1dull, 5179};
+  EXPECT_EQ(route_stream(c, make_heavy_hex(heavy_hex_layout(65)), opts), want);
+}
+
+TEST(SabreGolden, PinSetFlushMidPass) {
+  // 4096 nodes without a closed form: every distance is read from a BFS
+  // row. One pass pins more rows than the oracle's row budget, so the
+  // pass's distance view flushes its pin set while routing.
+  const CouplingGraph g = make_sycamore(64);
+  ASSERT_FALSE(g.distances().closed_form());
+  SabreOptions opts;
+  opts.trials = 1;
+  opts.bidirectional_passes = 0;
+  const SabreStream want{0xd9d520790495dc58ull, 0xa0245b0200b9a43dull,
+                         0xf9bf641f622f99fcull, 4459};
+  EXPECT_EQ(route_stream(qft_logical(64), g, opts), want);
+  EXPECT_GT(g.distances().bfs_rows_computed(),
+            static_cast<std::int64_t>(g.distances().row_budget()));
+}
+
 TEST(SabreGolden, SwapCapCircuitStillThrows) {
   // The known divergence: an 18-qubit, 35-CNOT circuit (splitmix64 generator
   // seed 1728, drawn as perfbench's swap-cap probe draws it under GCC, which
@@ -410,6 +452,50 @@ TEST(SabreGolden, SwapCapCircuitStillThrows) {
   }
   opts.trials = 1;
   EXPECT_NO_THROW(sabre_route(c, make_heavy_hex(heavy_hex_layout(20)), opts));
+}
+
+TEST(SabreStats, CountPassesStepsAndTheReturnedSwaps) {
+  SabreStats stats;
+  SabreOptions opts;
+  opts.stats_out = &stats;
+  const MappedCircuit mc = sabre_route(qft_logical(24), make_line(24), opts);
+  EXPECT_EQ(stats.passes, 5 * (1 + 2 * 2));
+  EXPECT_EQ(stats.swaps, count_gates(mc.circuit).swap);
+  EXPECT_GE(stats.blocked_steps, stats.swaps);
+  EXPECT_GT(stats.rebuilt_steps, 0);
+  EXPECT_LT(stats.rebuilt_steps, stats.blocked_steps);
+
+  // The counts are a function of the inputs: a second route repeats them.
+  SabreStats again;
+  opts.stats_out = &again;
+  sabre_route(qft_logical(24), make_line(24), opts);
+  EXPECT_EQ(again.blocked_steps, stats.blocked_steps);
+  EXPECT_EQ(again.rebuilt_steps, stats.rebuilt_steps);
+}
+
+TEST(SabreStats, StepStateIsRebuiltOnlyAfterAnExecutedGate) {
+  // One emitting pass: each blocked step emits one SWAP, and a step
+  // rebuilds its state exactly when a gate ran since the previous step. So
+  // the rebuilt count is the number of maximal SWAP runs in the stream.
+  SabreStats stats;
+  SabreOptions opts;
+  opts.bidirectional_passes = 0;
+  opts.stats_out = &stats;
+  const MappedCircuit mc =
+      sabre_route_single(qft_logical(24), make_grid(4, 6), 3, opts);
+  std::int64_t swaps = 0, runs = 0;
+  bool after_swap = false;
+  for (const Gate& gate : mc.circuit) {
+    const bool swap = gate.kind == GateKind::kSwap;
+    swaps += swap;
+    runs += swap && !after_swap;
+    after_swap = swap;
+  }
+  EXPECT_EQ(stats.passes, 1);
+  EXPECT_EQ(stats.blocked_steps, swaps);
+  EXPECT_EQ(stats.rebuilt_steps, runs);
+  EXPECT_EQ(stats.swaps, swaps);
+  EXPECT_LT(runs, swaps);
 }
 
 // ------------------------------------------------------------- LNN path ----

@@ -309,6 +309,25 @@ TEST(PipelineOptions, SatmapSolverStatsSurfaceIntoTimings) {
   EXPECT_EQ(lnn.timings.sat.decisions, 0);
 }
 
+TEST(PipelineOptions, SabreStatsSurfaceIntoTimings) {
+  const MapResult r = map_qft("sabre", 12);
+  ASSERT_TRUE(r.check.ok) << r.check.error;
+  EXPECT_EQ(r.timings.sabre.passes, 5 * (1 + 2 * 2));
+  EXPECT_EQ(r.timings.sabre.swaps, r.check.counts.swap);
+  EXPECT_GT(r.timings.sabre.blocked_steps, 0);
+
+  // A caller-installed sink sees the same numbers the pipeline recorded.
+  SabreStats sink;
+  MapOptions with_sink;
+  with_sink.sabre.stats_out = &sink;
+  const MapResult again = map_qft("sabre", 12, with_sink);
+  EXPECT_EQ(sink.blocked_steps, again.timings.sabre.blocked_steps);
+  EXPECT_EQ(sink.rebuilt_steps, again.timings.sabre.rebuilt_steps);
+
+  // Analytical engines never route with SABRE.
+  EXPECT_EQ(map_qft("lnn", 8).timings.sabre.passes, 0);
+}
+
 TEST(PipelineOptions, SatmapSolverBackendSelectable) {
   sat::register_dpll_backend();
   MapOptions opts;

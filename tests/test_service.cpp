@@ -237,6 +237,19 @@ TEST(Service, PriorityOrdersTheQueueFifoWithinLevel) {
 
 // ------------------------------------------------------------------- cache --
 
+TEST(Service, CacheHitZeroesSabreStats) {
+  MappingService service{service_options(1)};
+  const JobResult cold = service.submit({"sabre", 9, MapOptions{}}).wait();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  EXPECT_GT(cold.result->timings.sabre.passes, 0);
+
+  const JobResult warm = service.submit({"sabre", 9, MapOptions{}}).wait();
+  ASSERT_TRUE(warm.ok()) << warm.error;
+  EXPECT_TRUE(warm.result->cache_hit);
+  EXPECT_EQ(warm.result->timings.sabre.passes, 0);
+  EXPECT_EQ(warm.result->timings.sabre.blocked_steps, 0);
+}
+
 TEST(Service, CacheHitIsBitIdenticalWithZeroMapTime) {
   MappingService service{service_options(2)};
   const JobResult cold = service.submit({"lattice", 10, MapOptions{}}).wait();
