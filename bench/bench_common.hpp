@@ -26,7 +26,7 @@ struct Measured {
 /// for an invalid circuit.
 inline Measured measure(const MappedCircuit& mc, const CouplingGraph& g,
                         double seconds,
-                        const LatencyFn& latency = unit_latency) {
+                        const LatencyModel& latency = LatencyModel()) {
   const auto r = check_qft_mapping(mc, g, latency);
   if (!r.ok) {
     std::fprintf(stderr, "BENCH ABORT — invalid mapping on %s: %s\n",

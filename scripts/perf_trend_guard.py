@@ -5,9 +5,8 @@ Compares the current run's Google-Benchmark JSON output against the previous
 CI run's uploaded artifact and fails (exit 1) when a guarded series regressed
 by more than the threshold. Guarded series:
 
-  * BENCH_checker.json  — items_per_second of the verify_* families (checker
-    throughput in gates/s; the tentpole metric of the streaming/fused verify
-    work);
+  * BENCH_checker.json  — items_per_second of the verify_* series (today
+    verify_incremental only: the streaming checker's throughput in gates/s);
   * BENCH_service.json  — items_per_second of the socket_* families (served
     requests/s through the TCP front-end);
   * BENCH_sabre.json    — items_per_second of the route_* families (logical

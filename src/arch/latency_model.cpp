@@ -20,10 +20,4 @@ LatencyModel LatencyModel::lattice(const CouplingGraph& g) {
   return m;
 }
 
-LatencyFn nisq_latency() { return LatencyFn(LatencyModel::nisq()); }
-
-LatencyFn lattice_latency(const CouplingGraph& g) {
-  return LatencyFn(LatencyModel::lattice(g));
-}
-
 }  // namespace qfto

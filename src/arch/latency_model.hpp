@@ -7,8 +7,7 @@
 // LatencyModel is the concrete form the scheduler/verifier hot path consumes:
 // a (gate kind × link type) cycle table resolved once per graph. Evaluating a
 // gate is a table load — plus one O(1) link_type probe only for kinds whose
-// cost actually varies by link — with no std::function indirection. The
-// LatencyFn free functions below remain as thin adapters for existing code.
+// cost actually varies by link — with no std::function indirection.
 #pragma once
 
 #include "arch/coupling_graph.hpp"
@@ -105,12 +104,5 @@ inline Schedule schedule_asap(const Circuit& c, const LatencyModel& model) {
 inline Cycle circuit_depth(const Circuit& c, const LatencyModel& model) {
   return schedule_asap(c, model).depth;
 }
-
-/// Every gate costs one cycle — LatencyFn adapter over LatencyModel::nisq().
-LatencyFn nisq_latency();
-
-/// Lattice-surgery weighted latency as a LatencyFn. The returned callable
-/// holds a reference to `g`; the graph must outlive it.
-LatencyFn lattice_latency(const CouplingGraph& g);
 
 }  // namespace qfto

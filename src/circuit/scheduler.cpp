@@ -2,8 +2,6 @@
 
 namespace qfto {
 
-Cycle unit_latency(const Gate&) { return 1; }
-
 std::vector<std::vector<std::int32_t>> Schedule::layers() const {
   if (start.empty()) return {};
   // Start cycles are bounded by the makespan, so a bucket fill replaces the
@@ -27,14 +25,6 @@ std::vector<std::vector<std::int32_t>> Schedule::layers() const {
     if (!gates.empty()) out.push_back(std::move(gates));
   }
   return out;
-}
-
-Schedule schedule_asap(const Circuit& c, const LatencyFn& latency) {
-  return schedule_asap_with(c, latency);
-}
-
-Cycle circuit_depth(const Circuit& c, const LatencyFn& latency) {
-  return schedule_asap(c, latency).depth;
 }
 
 }  // namespace qfto

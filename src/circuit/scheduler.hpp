@@ -3,31 +3,22 @@
 // The paper's depth numbers are "cycles to finish all gate operations": on the
 // NISQ backends every gate (1q, CPHASE, SWAP) occupies one cycle; on the
 // lattice-surgery FT backend latencies are heterogeneous (CNOT = 2 cycles,
-// diagonal-link SWAP = 2, axial-link SWAP = 6). The scheduler therefore takes
-// a per-gate latency callback and computes the makespan over wires, honouring
-// the gate-list order per wire (our emitters produce dependency-ordered
-// lists, so per-wire ASAP equals DAG ASAP).
+// diagonal-link SWAP = 2, axial-link SWAP = 6). The scheduler computes the
+// makespan over wires, honouring the gate-list order per wire (our emitters
+// produce dependency-ordered lists, so per-wire ASAP equals DAG ASAP).
 //
-// The core loop is a template over the latency callable: concrete models
-// (arch/latency_model.hpp's LatencyModel) inline straight into it with no
-// std::function hop, which is what the hot verify/schedule path uses. The
-// LatencyFn overloads remain for ad-hoc callers.
+// The core loop is a template over the latency callable, so the cost of a
+// gate inlines into it. Production callers pass a concrete LatencyModel
+// (arch/latency_model.hpp adds the schedule_asap/circuit_depth overloads for
+// it); circuit_depth(c) below is the unit-latency step count.
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 
 namespace qfto {
-
-/// Returns the duration (in cycles) of a gate. Receives the gate so that
-/// architecture latency models can inspect which physical link it uses.
-using LatencyFn = std::function<Cycle(const Gate&)>;
-
-/// Unit latency: every gate takes one cycle (the paper's NISQ step count).
-Cycle unit_latency(const Gate& g);
 
 struct Schedule {
   std::vector<Cycle> start;  // start cycle of each gate
@@ -38,8 +29,8 @@ struct Schedule {
   std::vector<std::vector<std::int32_t>> layers() const;
 };
 
-/// ASAP core, generic over the latency callable so concrete models are
-/// devirtualized at the call site.
+/// ASAP core, generic over the latency callable (`Cycle(const Gate&)`) so
+/// concrete models are devirtualized at the call site.
 template <typename Latency>
 Schedule schedule_asap_with(const Circuit& c, Latency&& latency) {
   Schedule s;
@@ -58,9 +49,10 @@ Schedule schedule_asap_with(const Circuit& c, Latency&& latency) {
   return s;
 }
 
-Schedule schedule_asap(const Circuit& c, const LatencyFn& latency);
-
-/// Convenience: makespan only.
-Cycle circuit_depth(const Circuit& c, const LatencyFn& latency = unit_latency);
+/// Makespan under unit latency: every gate takes one cycle (the paper's NISQ
+/// step count).
+inline Cycle circuit_depth(const Circuit& c) {
+  return schedule_asap_with(c, [](const Gate&) { return Cycle{1}; }).depth;
+}
 
 }  // namespace qfto

@@ -175,35 +175,27 @@ MapResult MapperPipeline::run(const std::string& engine_name, std::int32_t n,
   result.graph = engine.build_graph(result.n, opts);
   live.ensure("map");
 
-  // Fused mode: hand the engine an audit sink so the emitter verifies while
-  // it emits. Engines that bypass LayerEmitter (the routed baselines) simply
-  // never engage it, and the streaming fallback below picks up the check.
+  // With verify on, the engine gets an audit sink so a structured emitter
+  // verifies while it emits. Engines that bypass LayerEmitter (the routed
+  // baselines) never engage it, and check_qft_mapping picks up the check.
   verify::EmitAudit audit;
-  const bool fused = opts.verify && opts.verify_mode == VerifyMode::kFused;
-  if (fused) audit.model = resolved_latency(engine, opts, result.graph);
+  if (opts.verify) audit.model = resolved_latency(engine, opts, result.graph);
 
   timed_map_stage(result, opts, [&](MapOptions map_opts) {
-    if (fused) map_opts.audit = &audit;
+    if (opts.verify) map_opts.audit = &audit;
     return engine.map(result.n, result.graph, map_opts);
   });
   live.ensure("verify");
 
   if (opts.verify) {
-    if (fused && audit.engaged) {
+    if (audit.engaged) {
       // The verdict was computed gate-by-gate inside the map stage; there is
       // no separate pass to time.
       result.check = std::move(audit.result);
     } else {
       WallTimer timer;
-      const LatencyModel latency = resolved_latency(engine, opts, result.graph);
-      // Streaming path: one fused pass (adjacency/ordering/angle checks,
-      // ASAP depth, gate counts) through IncrementalQftChecker. The replay
-      // path is the pre-rewrite algorithm, kept for differential testing.
       result.check =
-          opts.verify_mode == VerifyMode::kReplay
-              ? check_qft_mapping_replay(result.mapped, result.graph,
-                                         LatencyFn(latency))
-              : check_qft_mapping(result.mapped, result.graph, latency);
+          check_qft_mapping(result.mapped, result.graph, audit.model);
       result.timings.check_seconds = timer.seconds();
     }
     fill_fidelity(result, opts);
@@ -241,9 +233,8 @@ MapResult MapperPipeline::run_circuit(const std::string& engine_name,
 
   if (opts.verify) {
     WallTimer timer;
-    // General inputs verify through the MappingTracker-based replay matcher
-    // (per-entry-point verification: only QFT requests can use the QFT-spec
-    // streaming checker).
+    // General inputs are matched gate-for-gate against the logical circuit
+    // (only QFT requests can be judged against the QFT spec).
     result.check = check_circuit_mapping(result.mapped, logical, result.graph,
                                          resolved_latency(engine, opts,
                                                           result.graph));

@@ -43,20 +43,6 @@ enum class Objective : std::uint8_t {
   kFidelity = 1,
 };
 
-/// How MapResult::check is produced (MapOptions::verify_mode).
-enum class VerifyMode : std::uint8_t {
-  /// Fused: the emitter audits as it emits (verify::EmitAudit) and the
-  /// separate verification pass disappears (check_seconds ≈ 0). Engines
-  /// that bypass LayerEmitter (`sabre`, `satmap`) fall back to kStream.
-  kFused = 0,
-  /// One streaming pass through IncrementalQftChecker after mapping.
-  kStream = 1,
-  /// Legacy post-hoc replay (check_qft_mapping_replay): separate check,
-  /// schedule and count walks. Kept selectable so the three paths stay
-  /// comparable in tests and benchmarks — results are bit-identical.
-  kReplay = 2,
-};
-
 struct MapOptions {
   // Structured-mapper ablation knobs (§3.3 strict IE, §6 lattice variants).
   bool strict_ie = false;
@@ -85,13 +71,10 @@ struct MapOptions {
   /// Depth (default) or calibrated-fidelity routing; see Objective.
   Objective objective = Objective::kDepth;
 
-  /// Run the static checker and fill MapResult::check. On by default; turn
-  /// off only for timing-only runs where verification is done elsewhere.
+  /// Verify the result and fill MapResult::check. On by default; turn off
+  /// only for timing-only runs where verification is done elsewhere. The
+  /// pipeline picks the verifier (see verify/verifier.hpp).
   bool verify = true;
-
-  /// Verification strategy (see VerifyMode). All modes produce bit-identical
-  /// QftCheckResults; they differ only in when the work happens.
-  VerifyMode verify_mode = VerifyMode::kFused;
 
   /// Fused-verification plumbing: the pipeline installs its EmitAudit here
   /// before calling MapperEngine::map, and the structured engines hand it to
@@ -195,17 +178,10 @@ class MapperEngine {
                                     const MapOptions& opts) const = 0;
 
   /// Latency model depth is charged under on this backend. The model may
-  /// reference `g`; the graph must outlive it. This is what the pipeline's
-  /// verify/schedule hot path consumes (no std::function indirection).
+  /// reference `g`; the graph must outlive it.
   virtual LatencyModel latency_model(const CouplingGraph& g) const {
     (void)g;
     return LatencyModel::unit();
-  }
-
-  /// Convenience adapter for callers that want a callable; derived from
-  /// latency_model(), so engines only override that.
-  LatencyFn latency(const CouplingGraph& g) const {
-    return LatencyFn(latency_model(g));
   }
 
   /// Maps QFT(n) onto `g` (n native, g = build_graph(n, opts)). Throws on
@@ -259,11 +235,12 @@ class MapperPipeline {
   /// General-circuit pipeline: build the engine's native graph (snapped to
   /// fit the circuit), route the supplied circuit onto it, and verify with
   /// the general checker (verify/circuit_checker.hpp) under the engine's
-  /// latency model. Unlike run(), verification is per-entry-point: QFT
-  /// requests keep the streaming IncrementalQftChecker, arbitrary circuits
-  /// are replayed through the MappingTracker-based matcher. requested_n and
-  /// n both report the circuit's qubit count (a circuit is never resized);
-  /// MapResult::graph carries the possibly-larger physical register.
+  /// latency model. Verification is per entry point: run() judges QFT
+  /// requests by the fused emit audit (or check_qft_mapping for the routed
+  /// engines); arbitrary circuits are matched gate-for-gate against the
+  /// input. requested_n and n both report the circuit's qubit count (a
+  /// circuit is never resized); MapResult::graph carries the
+  /// possibly-larger physical register.
   MapResult run_circuit(const std::string& engine, const Circuit& logical,
                         const MapOptions& opts = {}) const;
 

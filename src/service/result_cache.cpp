@@ -101,7 +101,6 @@ std::string ResultCache::key(const std::string& engine, std::int32_t native_n,
   k += opts.satmap.solver;
   k += "|verify=";
   k += opts.verify ? '1' : '0';
-  k += static_cast<char>('0' + static_cast<int>(opts.verify_mode));
   k += "|obj=";
   k += static_cast<char>('0' + static_cast<int>(opts.objective));
   if (opts.device != nullptr) {
@@ -217,10 +216,11 @@ namespace {
 // Version 2 added the per-entry "fid" record (MapResult::log10_fidelity).
 // Version 3 dropped the characters of retired SATMAP search options from
 // every ResultCache::key (not only SATMAP keys), so no request can hit a v2
-// entry any more; loading one would only hold LRU capacity. An older file
-// fails the magic check and the service starts cold — acceptable for a
-// cache, never silently wrong.
-constexpr const char* kCacheMagic = "qftmap-cache 3";
+// entry any more; loading one would only hold LRU capacity. Version 4 dropped
+// the verify-strategy character after "|verify=" for the same reason. An
+// older file fails the magic check and the service starts cold — acceptable
+// for a cache, never silently wrong.
+constexpr const char* kCacheMagic = "qftmap-cache 4";
 
 void write_blob(std::ostream& out, const char* tag, const std::string& bytes) {
   out << tag << ' ' << bytes.size() << '\n' << bytes << '\n';

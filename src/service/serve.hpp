@@ -44,7 +44,8 @@
 //    "requests":...,"responses":...,"shed":...,"parse_errors":...,
 //    "in_flight":...,
 //    "cache":{"hits":...,"misses":...,"insertions":...,"evictions":...,
-//             "expired":...,"entries":...,"capacity":...},
+//             "expired":...,"load_quarantined":...,"entries":...,
+//             "capacity":...},
 //    "devices":{"loaded":...,"load_errors":...},
 //    "sat":{"conflicts":...,"decisions":...,"restarts":...,"solve_calls":...},
 //    "map_seconds":{"count":...,"p50":...,"p99":...},
@@ -83,8 +84,6 @@
 // request after a backoff — see net::request_with_retry) and their
 // `queue_seconds`.
 //
-// SAT-backed engines (satmap) additionally report their search effort:
-// "sat_conflicts", "sat_decisions", "sat_restarts", "sat_solve_calls".
 // The socket front-end adds one failure status the stdio loop never emits:
 // {"ok":false,"status":"shed",...} when admission control rejects a
 // request under load (see net_server.hpp).

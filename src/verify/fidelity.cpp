@@ -67,9 +67,4 @@ double log10_fidelity(const Circuit& c, const DeviceModel& device,
   return log10f;
 }
 
-double log10_fidelity(const Circuit& c, const NoiseModel& model,
-                      const LatencyFn& latency) {
-  return log10_fidelity(count_gates(c), circuit_depth(c, latency), model);
-}
-
 }  // namespace qfto

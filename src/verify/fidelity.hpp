@@ -12,9 +12,8 @@
 // Three resolutions, coarsest to finest:
 //   - GateCounts + depth: the closed-form core — no schedule pass, used when
 //     the checker already counted and scheduled (pipeline verify).
-//   - Circuit + NoiseModel + LatencyModel: uniform rates, concrete cycle
-//     table (the PR-2 hot-path form; the LatencyFn signature below is a
-//     compatibility shim over it).
+//   - Circuit + NoiseModel + LatencyModel: uniform rates, depth scheduled
+//     under a concrete cycle table (unit latency by default).
 //   - Circuit + DeviceModel: per-qubit 1q error/coherence and per-edge 2q
 //     error from the calibration table — what SABRE's fidelity objective and
 //     the device-aware pipeline report. Decoherence charges every *used*
@@ -47,8 +46,8 @@ double log10_fidelity(const GateCounts& counts, Cycle depth,
 /// Uniform-rate estimate with the depth resolved by a concrete LatencyModel
 /// cycle table (which must be bound to the circuit's graph if any cost is
 /// link-dependent).
-double log10_fidelity(const Circuit& c, const NoiseModel& model,
-                      const LatencyModel& latency);
+double log10_fidelity(const Circuit& c, const NoiseModel& model = {},
+                      const LatencyModel& latency = LatencyModel());
 
 /// Calibrated estimate: per-qubit error_1q, per-edge error_2q (SWAP = 3
 /// CNOT-equivalents, CPHASE = 2, charged at the edge's rate), and
@@ -56,10 +55,5 @@ double log10_fidelity(const Circuit& c, const NoiseModel& model,
 /// own coherence horizon. `latency` should be device.latency_model(graph).
 double log10_fidelity(const Circuit& c, const DeviceModel& device,
                       const LatencyModel& latency);
-
-/// Legacy LatencyFn adapter kept as a thin shim over the LatencyModel form —
-/// existing call sites (and their defaults) keep compiling.
-double log10_fidelity(const Circuit& c, const NoiseModel& model = {},
-                      const LatencyFn& latency = unit_latency);
 
 }  // namespace qfto

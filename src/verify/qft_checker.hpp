@@ -12,13 +12,15 @@
 //   5. the declared final mapping matches the tracked one.
 //
 // IncrementalQftChecker is the streaming form: gates are fed one at a time
-// and the adjacency/ordering/angle checks, the latency-weighted ASAP depth,
-// and the gate counts are all maintained in that single pass — no post-hoc
-// replay, no separate scheduling or counting walks. Pair bookkeeping is a
-// packed triangular bitset (n(n-1)/2 bits ≈ n²/16 bytes instead of the n²
-// bytes the old checker allocated). check_qft_mapping is a thin driver over
-// it; check_qft_mapping_replay preserves the original multi-pass algorithm
-// as a differential oracle for tests and benchmarks.
+// and the adjacency/ordering/angle checks, the latency-weighted ASAP depth
+// (charged from the LatencyModel's cycle table) and the gate counts are all
+// maintained in that single pass.
+// Pair bookkeeping is a packed triangular bitset (n(n-1)/2 bits ≈ n²/16
+// bytes). check_qft_mapping is a thin driver over it and the verifier the
+// pipeline runs on routed QFTs (sabre, satmap); the structured mappers are
+// judged by the fused EmitAudit instead (verify/verifier.hpp). Tests compare
+// both against an independent multi-pass replay checker
+// (tests/support/qft_replay.hpp).
 #pragma once
 
 #include <string>
@@ -50,22 +52,13 @@ class IncrementalQftChecker {
                         const CouplingGraph& g,
                         LatencyModel latency = LatencyModel());
 
-  /// Compat form for arbitrary latency callbacks; `latency` must outlive
-  /// the checker (the rvalue overload is deleted so a temporary cannot
-  /// dangle). Pays one std::function call per gate — prefer the
-  /// LatencyModel constructor on hot paths.
-  IncrementalQftChecker(const std::vector<PhysicalQubit>& initial,
-                        const CouplingGraph& g, const LatencyFn& latency);
-  IncrementalQftChecker(const std::vector<PhysicalQubit>& initial,
-                        const CouplingGraph& g, LatencyFn&& latency) = delete;
-
   /// Feeds the next gate. Returns false once verification has failed;
   /// subsequent gates are ignored.
   bool push(const Gate& gate);
 
   /// push() minus the wire-range guards — for gates whose indices were
   /// already validated against a Circuit with the graph's qubit count (the
-  /// check_qft_mapping drivers). Out-of-range indices are undefined here.
+  /// check_qft_mapping driver). Out-of-range indices are undefined here.
   bool push_trusted(const Gate& gate);
 
   bool failed() const { return failed_; }
@@ -115,7 +108,6 @@ class IncrementalQftChecker {
 
   const CouplingGraph* graph_;
   LatencyModel model_;
-  const LatencyFn* fn_ = nullptr;  // non-null only for the compat constructor
 
   std::int32_t n_ = 0;
   std::int32_t num_physical_ = 0;
@@ -139,23 +131,10 @@ class IncrementalQftChecker {
   std::string error_;
 };
 
-/// Single-pass verification driven by IncrementalQftChecker; the fast path
-/// the pipeline uses.
+/// Single-pass verification driven by IncrementalQftChecker. Depth is
+/// charged under `latency` (unit by default).
 QftCheckResult check_qft_mapping(const MappedCircuit& mc,
                                  const CouplingGraph& g,
-                                 const LatencyModel& latency);
-
-/// Compat overload for arbitrary latency callbacks.
-QftCheckResult check_qft_mapping(const MappedCircuit& mc,
-                                 const CouplingGraph& g,
-                                 const LatencyFn& latency = unit_latency);
-
-/// The pre-rewrite checker: full replay, then separate scheduling and
-/// counting passes over the circuit. Kept as the differential oracle — tests
-/// assert it agrees with the streaming checker bit-for-bit, and
-/// bench_checker measures the rewrite against it.
-QftCheckResult check_qft_mapping_replay(const MappedCircuit& mc,
-                                        const CouplingGraph& g,
-                                        const LatencyFn& latency = unit_latency);
+                                 const LatencyModel& latency = LatencyModel());
 
 }  // namespace qfto

@@ -220,7 +220,7 @@ TEST(LatticeSurgery, FullGraphHasBothFamilies) {
 }
 
 TEST(LatencyModel, NisqUniform) {
-  auto lat = nisq_latency();
+  const LatencyModel lat = LatencyModel::nisq();
   EXPECT_EQ(lat(Gate::h(0)), 1);
   EXPECT_EQ(lat(Gate::swap(0, 1)), 1);
 }
@@ -228,27 +228,13 @@ TEST(LatencyModel, NisqUniform) {
 TEST(LatencyModel, LatticeWeights) {
   const CouplingGraph g = make_lattice_surgery_rotated(3);
   const LatticeLayout lay{3};
-  auto lat = lattice_latency(g);
+  const LatencyModel lat = LatencyModel::lattice(g);
   const auto a = lay.node(0, 0), right = lay.node(0, 1), down = lay.node(1, 0);
   EXPECT_EQ(lat(Gate::swap(a, right)), kLsFastSwapDepth);
   EXPECT_EQ(lat(Gate::swap(a, down)), kLsSlowSwapDepth);
   EXPECT_EQ(lat(Gate::cphase(a, down, 0.5)), kLsCphaseDepth);
   EXPECT_EQ(lat(Gate::cnot(a, right)), kLsCnotDepth);
   EXPECT_EQ(lat(Gate::h(a)), 1);
-}
-
-TEST(LatencyModel, ConcreteModelMatchesCallableAdapter) {
-  const CouplingGraph g = make_lattice_surgery_rotated(3);
-  const LatticeLayout lay{3};
-  const LatencyModel model = LatencyModel::lattice(g);
-  const auto fn = lattice_latency(g);
-  const auto a = lay.node(0, 0), right = lay.node(0, 1), down = lay.node(1, 0);
-  for (const Gate& gate :
-       {Gate::swap(a, right), Gate::swap(a, down), Gate::cphase(a, down, 0.5),
-        Gate::cnot(a, right), Gate::h(a)}) {
-    EXPECT_EQ(model.cycles(gate), fn(gate)) << gate.to_string();
-    EXPECT_EQ(model(gate), fn(gate)) << gate.to_string();
-  }
 }
 
 TEST(LatencyModel, CyclesOnLinkSkipsTheGraphProbe) {

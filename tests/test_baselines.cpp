@@ -505,7 +505,7 @@ TEST(LnnBaseline, SnakeOnLatticeIsValid) {
     const CouplingGraph g = make_lattice_surgery_full(m);
     const auto path = lattice_snake_path(m);
     const MappedCircuit mc = map_qft_on_path(g, path);
-    const auto r = check_qft_mapping(mc, g, lattice_latency(g));
+    const auto r = check_qft_mapping(mc, g, LatencyModel::lattice(g));
     ASSERT_TRUE(r.ok) << "m=" << m << ": " << r.error;
     EXPECT_EQ(r.counts.cphase, qft_pair_count(m * m));
   }
@@ -527,14 +527,14 @@ TEST(LnnBaseline, WeightedDepthWorseThanUnitAware) {
   const CouplingGraph full = make_lattice_surgery_full(m);
   const auto lnn =
       check_qft_mapping(map_qft_on_path(full, lattice_snake_path(m)), full,
-                        lattice_latency(full));
+                        LatencyModel::lattice(full));
   ASSERT_TRUE(lnn.ok) << lnn.error;
 
   const CouplingGraph rot = make_lattice_surgery_rotated(m);
   // (compare against our mapper in bench; here assert the LNN weighted depth
   // exceeds its own unit-latency depth by the slow-swap factor's signature)
   const auto lnn_unit = check_qft_mapping(
-      map_qft_on_path(full, lattice_snake_path(m)), full, unit_latency);
+      map_qft_on_path(full, lattice_snake_path(m)), full, LatencyModel::unit());
   EXPECT_GT(lnn.depth, 3 * lnn_unit.depth);
 }
 

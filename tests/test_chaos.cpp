@@ -493,7 +493,8 @@ TEST_F(ChaosTest, CorruptCacheEntryCostsExactlyThatEntry) {
 
   // A wrong magic line is still a hard failure — not a cache file at all,
   // or one from a version whose keys no request can hit any more.
-  for (const char* magic : {"not-a-cache\n", "qftmap-cache 2\n"}) {
+  for (const char* magic : {"not-a-cache\n", "qftmap-cache 2\n",
+                            "qftmap-cache 3\n"}) {
     ResultCache wrong(1024, 8);
     std::istringstream bad_magic(magic);
     EXPECT_FALSE(wrong.load(bad_magic, &error)) << magic;

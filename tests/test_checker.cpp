@@ -7,6 +7,7 @@
 #include "arch/line.hpp"
 #include "circuit/qft_spec.hpp"
 #include "pipeline/mapper_pipeline.hpp"
+#include "support/qft_replay.hpp"
 #include "verify/equivalence.hpp"
 #include "verify/mapping_tracker.hpp"
 #include "verify/qft_checker.hpp"
@@ -212,10 +213,13 @@ TEST(IncrementalChecker, RejectsBadInitialMapping) {
 // --------------------------------------------------------- mutation suite --
 //
 // For every checker failure mode, corrupt a valid engine-mapped circuit and
-// assert that the rewrite (check_qft_mapping), the legacy replay oracle
-// (check_qft_mapping_replay) and the raw IncrementalQftChecker API all
-// reject it with the same diagnosis — locking the streaming rewrite against
-// silently accepting what the old checker refused.
+// assert that the streaming checker (check_qft_mapping), the test-only
+// replay oracle (check_qft_mapping_replay) and the raw IncrementalQftChecker
+// API all reject it with the same diagnosis — locking the streaming checker
+// against silently accepting what the replay algorithm refuses. The engines
+// cover both production QFT paths: structured emitters (lnn, heavy_hex,
+// sycamore, lattice) and the routed sabre circuit the streaming checker is
+// the production verifier for.
 
 class CheckerMutation : public ::testing::TestWithParam<const char*> {
  protected:
@@ -223,7 +227,8 @@ class CheckerMutation : public ::testing::TestWithParam<const char*> {
     engine_ = GetParam();
     result_ = map_qft(engine_, 16);
     ASSERT_TRUE(result_.check.ok) << result_.check.error;
-    latency_ = MapperPipeline::global().at(engine_).latency(result_.graph);
+    latency_ =
+        MapperPipeline::global().at(engine_).latency_model(result_.graph);
   }
 
   const CouplingGraph& graph() const { return result_.graph; }
@@ -279,7 +284,7 @@ class CheckerMutation : public ::testing::TestWithParam<const char*> {
 
   std::string engine_;
   MapResult result_;
-  LatencyFn latency_;
+  LatencyModel latency_;  // bound to result_.graph
 };
 
 TEST_P(CheckerMutation, ValidCircuitAcceptedIdenticallyByBothCheckers) {
@@ -374,7 +379,8 @@ TEST_P(CheckerMutation, RejectsWrongFinalMapping) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, CheckerMutation,
-                         ::testing::Values("lnn", "heavy_hex", "lattice"),
+                         ::testing::Values("lnn", "heavy_hex", "sycamore",
+                                           "lattice", "sabre"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });

@@ -98,7 +98,7 @@ TEST(Scheduler, WeightedLatency) {
   auto lat = [](const Gate& g) -> Cycle {
     return g.kind == GateKind::kSwap ? 6 : 2;
   };
-  EXPECT_EQ(circuit_depth(c, lat), 8);
+  EXPECT_EQ(schedule_asap_with(c, lat).depth, 8);
 }
 
 TEST(Scheduler, LayersGroupByStart) {
@@ -107,7 +107,7 @@ TEST(Scheduler, LayersGroupByStart) {
   c.append(Gate::h(1));
   c.append(Gate::cphase(0, 1, 1.0));
   c.append(Gate::h(2));
-  const Schedule s = schedule_asap(c, unit_latency);
+  const Schedule s = schedule_asap(c, LatencyModel::unit());
   const auto layers = s.layers();
   ASSERT_EQ(layers.size(), 2u);
   EXPECT_EQ(layers[0].size(), 3u);  // H0, H1, H2
@@ -129,7 +129,7 @@ TEST(Scheduler, LayersSkipEmptyStartCycles) {
   auto lat = [](const Gate& g) -> Cycle {
     return g.kind == GateKind::kSwap ? 6 : 2;
   };
-  const Schedule s = schedule_asap(c, lat);
+  const Schedule s = schedule_asap_with(c, lat);
   const auto layers = s.layers();
   ASSERT_EQ(layers.size(), 3u);
   EXPECT_EQ(layers[0], (std::vector<std::int32_t>{0}));
@@ -151,7 +151,7 @@ TEST(Scheduler, LatencyModelMatchesEquivalentCallable) {
     return 1;
   };
   const Schedule a = schedule_asap(c, model);
-  const Schedule b = schedule_asap(c, LatencyFn(fn));
+  const Schedule b = schedule_asap_with(c, fn);
   EXPECT_EQ(a.depth, b.depth);
   EXPECT_EQ(a.start, b.start);
   EXPECT_EQ(circuit_depth(c, model), a.depth);

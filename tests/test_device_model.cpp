@@ -212,8 +212,6 @@ TEST(FidelityTest, OverloadsAgreeOnDirection) {
   const NoiseModel clean{1e-5, 1e-4, 2e5};
   const LatencyModel lat = LatencyModel::unit();
   EXPECT_LT(log10_fidelity(c, noisy, lat), log10_fidelity(c, clean, lat));
-  // Legacy LatencyFn shim still answers (and worse noise is still worse).
-  EXPECT_LT(log10_fidelity(c, noisy), log10_fidelity(c, clean));
   EXPECT_LT(log10_fidelity(c, noisy, lat), 0.0);
 }
 

@@ -116,13 +116,13 @@ TEST(Fidelity, OursBeatsSabreInDepthDominatedRegime) {
   ft.error_1q = 1e-7;
   ft.error_2q = 1e-6;
   ft.coherence_cycles = 500;
-  EXPECT_GT(log10_fidelity(ours.circuit, ft, lattice_latency(rot)),
+  EXPECT_GT(log10_fidelity(ours.circuit, ft, LatencyModel::lattice(rot)),
             log10_fidelity(sabre.circuit, ft));
 
   // Conversely, a gate-error-dominated NISQ model rewards SABRE's smaller
   // SWAP budget on this backend — the trade-off is real and documented.
   NoiseModel nisq;  // defaults: e2 = 5e-3 dominates
-  EXPECT_LT(log10_fidelity(ours.circuit, nisq, lattice_latency(rot)),
+  EXPECT_LT(log10_fidelity(ours.circuit, nisq, LatencyModel::lattice(rot)),
             log10_fidelity(sabre.circuit, nisq));
 }
 

@@ -19,7 +19,7 @@ TEST_P(LatticeSweep, CheckerInvariants) {
   const int n = m * m;
   const MappedCircuit mc = map_qft_lattice(m);
   const CouplingGraph g = make_lattice_surgery_rotated(m);
-  const auto r = check_qft_mapping(mc, g, lattice_latency(g));
+  const auto r = check_qft_mapping(mc, g, LatencyModel::lattice(g));
   ASSERT_TRUE(r.ok) << "m=" << m << ": " << r.error;
   EXPECT_EQ(r.counts.cphase, qft_pair_count(n));
   EXPECT_EQ(r.counts.h, n);
@@ -30,7 +30,7 @@ TEST_P(LatticeSweep, LinearWeightedDepth) {
   const int n = m * m;
   const MappedCircuit mc = map_qft_lattice(m);
   const CouplingGraph g = make_lattice_surgery_rotated(m);
-  const auto r = check_qft_mapping(mc, g, lattice_latency(g));
+  const auto r = check_qft_mapping(mc, g, LatencyModel::lattice(g));
   ASSERT_TRUE(r.ok) << r.error;
   // §6 engineering: 5N + O(1) weighted cycles; our closed-loop constant is
   // larger but must stay linear. Generous bound: 20N + O(m).
@@ -56,7 +56,7 @@ TEST(Lattice, PhaseOffsetVariantsAllCorrect) {
     opts.phase_offset = offset;
     const MappedCircuit mc = map_qft_lattice(5, opts);
     const CouplingGraph g = make_lattice_surgery_rotated(5);
-    const auto r = check_qft_mapping(mc, g, lattice_latency(g));
+    const auto r = check_qft_mapping(mc, g, LatencyModel::lattice(g));
     ASSERT_TRUE(r.ok) << "offset=" << offset << ": " << r.error;
   }
 }
@@ -68,9 +68,10 @@ TEST(Lattice, OffsetPhaseBeatsSyncedPhase) {
   const CouplingGraph g = make_lattice_surgery_rotated(8);
   LatticeMapperOptions synced;
   synced.phase_offset = 0;
-  const auto off = check_qft_mapping(map_qft_lattice(8), g, lattice_latency(g));
-  const auto syn =
-      check_qft_mapping(map_qft_lattice(8, synced), g, lattice_latency(g));
+  const auto off =
+      check_qft_mapping(map_qft_lattice(8), g, LatencyModel::lattice(g));
+  const auto syn = check_qft_mapping(map_qft_lattice(8, synced), g,
+                                     LatencyModel::lattice(g));
   ASSERT_TRUE(off.ok && syn.ok);
   EXPECT_LE(off.depth, syn.depth);
 }
@@ -80,7 +81,7 @@ TEST(Lattice, WeightedDepthExceedsUnitDepth) {
   // strictly larger than the naive unit-step count.
   const MappedCircuit mc = map_qft_lattice(6);
   const CouplingGraph g = make_lattice_surgery_rotated(6);
-  const auto weighted = check_qft_mapping(mc, g, lattice_latency(g));
+  const auto weighted = check_qft_mapping(mc, g, LatencyModel::lattice(g));
   const auto unit = check_qft_mapping(mc, g);
   ASSERT_TRUE(weighted.ok && unit.ok);
   EXPECT_GT(weighted.depth, unit.depth);
@@ -91,9 +92,10 @@ TEST(Lattice, StrictIeStillCorrectAndSlower) {
   LatticeMapperOptions strict;
   strict.strict_ie = true;
   const MappedCircuit mc = map_qft_lattice(8, strict);
-  const auto rs = check_qft_mapping(mc, g, lattice_latency(g));
+  const auto rs = check_qft_mapping(mc, g, LatencyModel::lattice(g));
   ASSERT_TRUE(rs.ok) << rs.error;
-  const auto rr = check_qft_mapping(map_qft_lattice(8), g, lattice_latency(g));
+  const auto rr =
+      check_qft_mapping(map_qft_lattice(8), g, LatencyModel::lattice(g));
   ASSERT_TRUE(rr.ok) << rr.error;
   EXPECT_GT(rs.depth, rr.depth);
 }

@@ -16,6 +16,7 @@
 #include "pipeline/mapper_pipeline.hpp"
 #include "sat/solver_interface.hpp"
 #include "support/dpll_solver.hpp"
+#include "support/qft_replay.hpp"
 
 namespace qfto {
 namespace {
@@ -209,72 +210,62 @@ TEST(PipelineOptions, VerifyOffSkipsTheChecker) {
 
 namespace {
 
-void expect_same_map_result(const MapResult& a, const MapResult& b,
-                            const std::string& label) {
-  ASSERT_TRUE(a.check.ok) << label << ": " << a.check.error;
-  ASSERT_TRUE(b.check.ok) << label << ": " << b.check.error;
-  EXPECT_EQ(a.check.depth, b.check.depth) << label;
-  EXPECT_EQ(a.check.error, b.check.error) << label;
-  EXPECT_EQ(a.check.counts.h, b.check.counts.h) << label;
-  EXPECT_EQ(a.check.counts.cphase, b.check.counts.cphase) << label;
-  EXPECT_EQ(a.check.counts.swap, b.check.counts.swap) << label;
-  EXPECT_EQ(a.check.counts.cnot, b.check.counts.cnot) << label;
-  EXPECT_EQ(a.check.counts.total(), b.check.counts.total()) << label;
-  EXPECT_EQ(a.n, b.n) << label;
-  EXPECT_EQ(a.mapped.circuit.to_string(), b.mapped.circuit.to_string())
-      << label;
-  EXPECT_EQ(a.mapped.initial, b.mapped.initial) << label;
-  EXPECT_EQ(a.mapped.final_mapping, b.mapped.final_mapping) << label;
+void expect_same_check(const QftCheckResult& a, const QftCheckResult& b,
+                       const std::string& label) {
+  ASSERT_TRUE(a.ok) << label << ": " << a.error;
+  ASSERT_TRUE(b.ok) << label << ": " << b.error;
+  EXPECT_EQ(a.depth, b.depth) << label;
+  EXPECT_EQ(a.error, b.error) << label;
+  EXPECT_EQ(a.counts.h, b.counts.h) << label;
+  EXPECT_EQ(a.counts.cphase, b.counts.cphase) << label;
+  EXPECT_EQ(a.counts.swap, b.counts.swap) << label;
+  EXPECT_EQ(a.counts.cnot, b.counts.cnot) << label;
+  EXPECT_EQ(a.counts.total(), b.counts.total()) << label;
+}
+
+/// Runs `engine` at `n` and re-verifies result.mapped with the streaming
+/// checker and the replay oracle under the engine's own latency model.
+void expect_check_matches_oracles(const MapperPipeline& pipeline,
+                                  const std::string& engine, std::int32_t n,
+                                  const MapOptions& opts) {
+  const std::string label = engine + " n=" + std::to_string(n);
+  const MapResult r = pipeline.run(engine, n, opts);
+  const LatencyModel latency = pipeline.at(engine).latency_model(r.graph);
+  expect_same_check(r.check, check_qft_mapping(r.mapped, r.graph, latency),
+                    label + " vs streaming");
+  expect_same_check(r.check,
+                    check_qft_mapping_replay(r.mapped, r.graph, latency),
+                    label + " vs replay");
 }
 
 }  // namespace
 
-TEST(PipelineVerify, FusedStreamAndReplayModesAreBitIdentical) {
-  // All three verify modes must agree exactly — same verdict, depth, counts
-  // and circuit — for every registered engine. kFused silently falls back to
-  // streaming for the routed baselines (they bypass LayerEmitter), which this
-  // sweep also exercises.
+TEST(PipelineVerify, CheckMatchesStreamingAndReplayOracles) {
+  // Whatever verifier the pipeline picked (the fused emit audit for the
+  // structured engines, check_qft_mapping for the routed ones), its verdict
+  // must equal both the streaming checker and the replay oracle re-run on
+  // the result, for every registered engine.
   const auto& pipeline = MapperPipeline::global();
   for (const auto& name : pipeline.engine_names()) {
-    MapOptions base;
-    base.sabre.trials = 1;
-    base.satmap.time_budget_seconds = 60.0;
+    MapOptions opts;
+    opts.sabre.trials = 1;
+    opts.satmap.time_budget_seconds = 60.0;
     const std::int32_t n = name == "satmap" ? 4 : (name == "sabre" ? 9 : 16);
-
-    MapOptions fused = base;
-    fused.verify_mode = VerifyMode::kFused;
-    MapOptions streaming = base;
-    streaming.verify_mode = VerifyMode::kStream;
-    MapOptions replay = base;
-    replay.verify_mode = VerifyMode::kReplay;
-
-    const MapResult f = pipeline.run(name, n, fused);
-    const MapResult s = pipeline.run(name, n, streaming);
-    const MapResult r = pipeline.run(name, n, replay);
-    expect_same_map_result(f, s, name + " fused-vs-stream");
-    expect_same_map_result(f, r, name + " fused-vs-replay");
+    expect_check_matches_oracles(pipeline, name, n, opts);
   }
 }
 
-TEST(PipelineVerify, FusedModeMatchesReplayAcrossSizes) {
-  // Acceptance sweep: per-engine bit-identical MapResults between the fused
-  // emitter audit and the pre-redesign replay checker on QFT-{16,64,256}.
-  // SATMAP is skipped (TLE territory at these sizes); SABRE pinned to one
-  // trial stays deterministic.
+TEST(PipelineVerify, CheckMatchesOraclesAcrossSizes) {
+  // Acceptance sweep over QFT-{16,64,256}. SATMAP is skipped (TLE territory
+  // at these sizes); SABRE runs one trial and stops at 64 (routing time).
   const auto& pipeline = MapperPipeline::global();
   for (const std::int32_t n : {16, 64, 256}) {
     for (const auto& name : pipeline.engine_names()) {
       if (name == "satmap") continue;
       if (name == "sabre" && n > 64) continue;  // routing time, not coverage
-      MapOptions fused;
-      fused.sabre.trials = 1;
-      fused.verify_mode = VerifyMode::kFused;
-      MapOptions replay = fused;
-      replay.verify_mode = VerifyMode::kReplay;
-      const MapResult f = pipeline.run(name, n, fused);
-      const MapResult r = pipeline.run(name, n, replay);
-      expect_same_map_result(f, r,
-                             name + " n=" + std::to_string(n));
+      MapOptions opts;
+      opts.sabre.trials = 1;
+      expect_check_matches_oracles(pipeline, name, n, opts);
     }
   }
 }

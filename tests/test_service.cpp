@@ -455,11 +455,6 @@ TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
     o.verify = false;
     EXPECT_NE(ResultCache::key("lattice", 16, o), k);
   }
-  {
-    MapOptions o;
-    o.verify_mode = VerifyMode::kReplay;
-    EXPECT_NE(ResultCache::key("lattice", 16, o), k);
-  }
   // Every SATMAP field that shapes output must fragment the key — a stale
   // hit here would silently return wrong-backend results.
   {
