@@ -6,7 +6,7 @@
 //                                request runs the full map+verify pipeline
 //                                on a worker.
 //   service_cached/<engine>/n  — identical request against a warmed cache:
-//                                the hit path (probe, copy, zeroed timings).
+//                                the hit path (probe, shared result, no copy).
 //                                cold/cached is the memoization payoff; the
 //                                acceptance bar is >= 10x on the analytical
 //                                engines.
@@ -76,7 +76,7 @@ void service_cached(benchmark::State& state, const char* engine) {
   }
   for (auto _ : state) {
     const JobResult out = service.submit({engine, n, MapOptions{}}).wait();
-    if (!out.ok() || !out.result->cache_hit) {
+    if (!out.ok() || !out.cache_hit) {
       state.SkipWithError("expected a cache hit");
       return;
     }

@@ -17,7 +17,7 @@ MappedCircuit map_qft_on_path(const CouplingGraph& g,
   QftState state(n);
   // Logical i starts at the i-th node of the path.
   LayerEmitter em(g, path, state, audit);
-  em.reserve_gates(2 * (static_cast<std::int64_t>(n) * (n - 1) / 2 + n));
+  em.reserve_gates(qft_gate_reservation(n));
   run_line_qft(em, Line(em, path));
   return std::move(em).finish();
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <new>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -20,17 +21,19 @@ std::uint64_t mix64(std::uint64_t x) { return SplitMix64(x).next(); }
 
 Circuit::Circuit(std::int32_t num_qubits) : num_qubits_(num_qubits) {
   require(num_qubits >= 0, "Circuit: negative qubit count");
+  require(num_qubits <= kMaxQubits, "Circuit: qubit count exceeds 2^27 - 1");
 }
 
 Circuit& Circuit::operator=(const Circuit& other) {
   if (this == &other) return *this;
   num_qubits_ = other.num_qubits_;
-  size_ = other.size_;
-  capacity_ = other.size_;  // copies are exact-sized, not reservation-sized
-  store_.reset(size_ > 0 ? new Gate[size_] : nullptr);
-  if (size_ > 0) {
-    std::memcpy(store_.get(), other.store_.get(), size_ * sizeof(Gate));
+  size_ = 0;
+  reallocate(0);            // drop the old gates rather than move them
+  reallocate(other.size_);  // copies are exact-sized, not reservation-sized
+  if (other.size_ > 0) {
+    std::memcpy(store_.get(), other.store_.get(), other.size_ * sizeof(Gate));
   }
+  size_ = other.size_;
   return *this;
 }
 
@@ -44,17 +47,34 @@ Circuit& Circuit::operator=(Circuit&& other) noexcept {
   return *this;
 }
 
+void Circuit::reallocate(std::size_t cap) {
+  if (cap == 0) {
+    store_.reset();
+    capacity_ = 0;
+    return;
+  }
+  require(cap <= static_cast<std::size_t>(PTRDIFF_MAX) / sizeof(Gate),
+          "Circuit: gate store too large");
+  // Gate is trivially copyable, so realloc may move it bytewise. glibc
+  // serves large blocks from their own mapping and grows those by mremap:
+  // the pages move, their contents are never copied, and the old and new
+  // block are never resident at once. The grown tail stays uninitialized —
+  // no zero/fill pass over what can be a multi-GB block.
+  void* p = std::realloc(store_.get(), cap * sizeof(Gate));
+  if (p == nullptr) throw std::bad_alloc();
+  static_cast<void>(store_.release());
+  store_.reset(static_cast<Gate*>(p));
+  capacity_ = cap;
+}
+
 void Circuit::grow(std::size_t need) {
   std::size_t cap = capacity_ == 0 ? 16 : capacity_ * 2;
   if (cap < need) cap = need;
-  // Gate is trivially default-constructible, so new[] leaves the tail
-  // uninitialized — no zero/fill pass over what can be a multi-GB block.
-  std::unique_ptr<Gate[]> fresh(new Gate[cap]);
-  if (size_ > 0) {
-    std::memcpy(fresh.get(), store_.get(), size_ * sizeof(Gate));
-  }
-  store_ = std::move(fresh);
-  capacity_ = cap;
+  reallocate(cap);
+}
+
+void Circuit::shrink_to_fit() {
+  if (capacity_ > size_) reallocate(size_);
 }
 
 void Circuit::reserve(std::size_t gate_count) {

@@ -2,16 +2,20 @@
 // valid topological order of whichever dependency relation produced it; the
 // scheduler (scheduler.hpp) turns it into parallel layers / weighted depth.
 //
-// Storage is a flat, manually-grown Gate array rather than std::vector: the
-// emit hot path appends tens of millions of gates at device scale, and the
-// vector's per-push end-pointer write-back plus its value-initializing resize
-// measurably throttled emission (QFT-8192 produces a ~1.6 GB gate stream).
-// With a trivial Gate and an explicit size_ kept in a register across the
-// emitter's loop, an append compiles down to one bounds-predictable branch
-// and one 24-byte store.
+// Storage is one flat, manually-grown block of 16-byte Gates rather than
+// std::vector: the emit hot path appends tens of millions of gates at device
+// scale, and the vector's per-push end-pointer write-back plus its
+// value-initializing resize measurably throttled emission (QFT-8192 produces
+// a 68.4M-gate, ~1.1 GB stream). With a trivial Gate and an explicit size_
+// kept in a register across the emitter's loop, an append compiles down to
+// one bounds-predictable branch and one 16-byte store. The block comes from
+// malloc and grows by realloc, so a large store (which glibc maps on its
+// own) grows by remapping its pages: no memcpy, and never two resident
+// copies of the gate stream.
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
 #include <type_traits>
 
@@ -48,16 +52,19 @@ class Circuit {
               "Circuit::append: two-qubit gate on a single wire");
     }
     if (size_ == capacity_) grow(size_ + 1);
-    store_[size_++] = g;
+    store_.get()[size_++] = g;
   }
 
   /// Pre-sizes the gate store. Emitters with a good a-priori gate-count
-  /// estimate call this once: growth reallocation (copying the whole tail)
-  /// dominated device-scale emission before. Large reservations are also
-  /// prefaulted in one batched pass (see circuit.cpp), which beats taking
-  /// soft page faults interleaved with the emit loop.
+  /// estimate call this once. Large reservations are also prefaulted in one
+  /// batched pass (see circuit.cpp), which beats taking soft page faults
+  /// interleaved with the emit loop.
   void reserve(std::size_t gate_count);
   std::size_t capacity() const { return capacity_; }
+
+  /// Releases the store's unused tail (capacity() becomes size()), so a
+  /// finished circuit holds no reserved slack.
+  void shrink_to_fit();
 
   /// Appends every gate of `other` (qubit counts must match).
   void extend(const Circuit& other);
@@ -65,7 +72,7 @@ class Circuit {
   const Gate* data() const { return store_.get(); }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  const Gate& operator[](std::size_t i) const { return store_[i]; }
+  const Gate& operator[](std::size_t i) const { return store_.get()[i]; }
 
   const Gate* begin() const { return store_.get(); }
   const Gate* end() const { return store_.get() + size_; }
@@ -81,10 +88,16 @@ class Circuit {
   std::uint64_t fingerprint() const;
 
  private:
+  /// Resizes the block to exactly `cap` gates, keeping the first size_.
+  void reallocate(std::size_t cap);
   void grow(std::size_t need);
 
+  struct FreeStore {
+    void operator()(Gate* p) const { std::free(p); }
+  };
+
   std::int32_t num_qubits_ = 0;
-  std::unique_ptr<Gate[]> store_;
+  std::unique_ptr<Gate, FreeStore> store_;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
 };

@@ -49,6 +49,9 @@ MappedCircuit LayerEmitter::finish() && {
       r.counts = audit_counts_;
     }
   }
+  // Results outlive the emitter (the cache holds them), so they keep no
+  // reserved slack: the estimate's prefaulted tail goes back here.
+  circuit_.shrink_to_fit();
   MappedCircuit mc;
   mc.circuit = std::move(circuit_);
   mc.initial = std::move(initial_);

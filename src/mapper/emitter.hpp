@@ -29,6 +29,14 @@
 
 namespace qfto {
 
+/// Gate-count bound the line-based emitters (lnn, lnn_baseline, lattice,
+/// grid, heavy_hex) reserve for QFT-n: n(n-1)/2 CPHASEs, n Hs, and a SWAP
+/// stream no longer than the CPHASE one plus n. Sycamore moves whole units
+/// and reserves its own bound (sycamore_gate_reservation).
+inline std::int64_t qft_gate_reservation(std::int32_t n) {
+  return static_cast<std::int64_t>(n) * (n + 1);
+}
+
 class LayerEmitter {
  public:
   /// `audit` (optional) arms fused verification; it must outlive the
@@ -64,9 +72,9 @@ class LayerEmitter {
     return EdgeHandle{a, b, *link};
   }
 
-  /// Pre-sizes the gate store (growth reallocation of a multi-GB gate vector
-  /// dominated device-scale emission). Mappers with a swap-count estimate
-  /// call it once up front.
+  /// Pre-sizes and prefaults the gate store, so the emit loop runs in
+  /// memory that is already mapped. Mappers call it once up front with a
+  /// gate-count bound that covers what they emit (see qft_gate_reservation).
   void reserve_gates(std::int64_t gate_count) {
     if (gate_count > 0) {
       circuit_.reserve(static_cast<std::size_t>(gate_count));
@@ -152,8 +160,9 @@ class LayerEmitter {
   std::int64_t gates_emitted() const { return gates_emitted_; }
   std::int64_t layer_index() const { return layer_; }
 
-  /// Finalizes into a MappedCircuit (emitter unusable afterwards). With an
-  /// audit armed, also renders the fused verification verdict.
+  /// Finalizes into a MappedCircuit (emitter unusable afterwards), its gate
+  /// store trimmed to the gates emitted. With an audit armed, also renders
+  /// the fused verification verdict.
   MappedCircuit finish() &&;
 
  private:

@@ -46,7 +46,7 @@ MappedCircuit map_main_line(const CouplingGraph& g,
 
   QftState state(n);
   LayerEmitter em(g, std::move(initial), state, audit);
-  em.reserve_gates(2 * (static_cast<std::int64_t>(n) * (n - 1) / 2 + n));
+  em.reserve_gates(qft_gate_reservation(n));
 
   std::vector<std::uint8_t> parked(num_dangle, 0);
   const Line main_line(em, main);

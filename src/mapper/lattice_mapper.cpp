@@ -27,7 +27,7 @@ MappedCircuit map_qft_row_units(const CouplingGraph& g, std::int32_t m,
   }
   QftState state(n);
   LayerEmitter em(g, initial, state, audit);
-  em.reserve_gates(2 * (static_cast<std::int64_t>(n) * (n - 1) / 2 + n));
+  em.reserve_gates(qft_gate_reservation(n));
 
   // Slots are fixed physical structure: resolve every row line and every
   // vertical edge chain once, before emitting a single gate.

@@ -14,7 +14,7 @@ MappedCircuit map_qft_lnn(std::int32_t n, verify::EmitAudit* audit) {
   std::vector<PhysicalQubit> initial(n);
   std::iota(initial.begin(), initial.end(), 0);
   LayerEmitter em(g, initial, state, audit);
-  em.reserve_gates(2 * (static_cast<std::int64_t>(n) * (n - 1) / 2 + n));
+  em.reserve_gates(qft_gate_reservation(n));
   std::vector<PhysicalQubit> nodes(n);
   std::iota(nodes.begin(), nodes.end(), 0);
   run_line_qft(em, Line(em, std::move(nodes)));

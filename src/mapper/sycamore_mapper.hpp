@@ -17,4 +17,8 @@ namespace qfto {
 MappedCircuit map_qft_sycamore(std::int32_t m, bool strict_ie = false,
                                verify::EmitAudit* audit = nullptr);
 
+/// Gate-count bound map_qft_sycamore reserves for side m (N = m*m): covers
+/// the gates it emits and over-reserves by under 2% from m = 8 up.
+std::int64_t sycamore_gate_reservation(std::int32_t m);
+
 }  // namespace qfto

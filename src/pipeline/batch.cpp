@@ -45,17 +45,19 @@ std::vector<BatchItem> map_qft_batch(const std::vector<BatchRequest>& requests,
     JobResult outcome = handles[i].wait();
     if (outcome.ok()) {
       items[i].ok = true;
-      // A cache hit aliases the shared cache entry and must be copied out,
-      // but a miss is owned solely by this batch's private job (the cache
-      // keeps its own normalized copy, never this object): the only two
-      // references are `outcome.result` and the job state behind our local
-      // handle, so moving out skips a potentially multi-megabyte deep copy
-      // per item.
-      if (!outcome.result->cache_hit && outcome.result.use_count() == 2) {
+      items[i].cache_hit = outcome.cache_hit;
+      // A result the cache holds (every hit, and a cacheable miss) is shared
+      // and must be copied out. An uncached miss is owned solely by this
+      // batch's private job: the only two references are `outcome.result`
+      // and the job state behind our local handle, so moving out skips a
+      // potentially multi-megabyte deep copy per item.
+      if (!outcome.cache_hit && outcome.result.use_count() == 2) {
         items[i].result =
             std::move(const_cast<MapResult&>(*outcome.result));
       } else {
         items[i].result = *outcome.result;
+        items[i].result.requested_n = outcome.requested_n;
+        items[i].result.timings = outcome.timings();
       }
     } else {
       // Engine failures were exceptions in the thread-pool era; the service

@@ -32,6 +32,9 @@ struct BatchItem {
   bool ok = false;
   std::string error;  // empty when ok
   MapResult result;   // valid when ok
+  /// Served from the service's ResultCache: `result` is bit-identical to a
+  /// fresh run, with zero timings (no work was done).
+  bool cache_hit = false;
 };
 
 /// Runs every request through `pipeline`, `num_threads` at a time

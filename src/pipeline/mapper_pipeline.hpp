@@ -118,11 +118,11 @@ struct MapTimings {
   double check_seconds = 0.0;
   /// Cumulative SAT-solver effort (conflicts/decisions/restarts/...) when
   /// the engine ran a SAT search — zero-initialized (solve_calls == 0) for
-  /// the analytical engines. Zeroed on cache hits like the wall-clock
-  /// fields: no work was done.
+  /// the analytical engines. A cache hit reports zeros for every field here
+  /// (JobResult::timings()): no work was done.
   sat::SolverStats sat;
   /// SABRE's work counters when the engine routed with SABRE (passes == 0
-  /// otherwise). Zeroed on cache hits like the other fields.
+  /// otherwise).
   SabreStats sabre;
   double total_seconds() const { return map_seconds + check_seconds; }
 };
@@ -140,9 +140,6 @@ struct MapResult {
   /// carried a DeviceModel, the closed-form NoiseModel estimate otherwise.
   /// Always <= 0; higher is better.
   double log10_fidelity = 0.0;
-  /// True when the MappingService served this result from its ResultCache —
-  /// bit-identical to a fresh run, with timings zeroed (no work was done).
-  bool cache_hit = false;
 };
 
 /// One mapping engine behind the facade. Implementations are stateless and

@@ -31,6 +31,7 @@ struct JobState {
   JobStatus status = JobStatus::kQueued;
   std::string error;
   std::shared_ptr<const MapResult> result;
+  bool cache_hit = false;
   double queue_seconds = 0.0;
   std::int64_t dispatch_index = -1;
 };
@@ -115,6 +116,8 @@ JobResult snapshot_locked(const JobState& s) {
   r.status = s.status;
   r.error = s.error;
   r.result = s.result;
+  r.cache_hit = s.cache_hit;
+  r.requested_n = s.request.n;
   r.queue_seconds = s.queue_seconds;
   r.dispatch_index = s.dispatch_index;
   return r;
@@ -125,12 +128,13 @@ JobResult snapshot_locked(const JobState& s) {
 /// and whichever loses must not overwrite the published outcome (waiters may
 /// already have read it). Returns false when the job was already terminal.
 bool finish(JobState& s, JobStatus status, std::string error,
-            std::shared_ptr<const MapResult> result) {
+            std::shared_ptr<const MapResult> result, bool cache_hit = false) {
   std::lock_guard<std::mutex> lock(s.mutex);
   if (terminal(s.status)) return false;
   s.status = status;
   s.error = std::move(error);
   s.result = std::move(result);
+  s.cache_hit = cache_hit;
   s.cv.notify_all();
   return true;
 }
@@ -197,20 +201,10 @@ void process(ServiceCore& core, const std::shared_ptr<JobState>& job) {
         key = ResultCache::key(req.engine, engine->native_size(req.n),
                                req.options, req.circuit.get());
         if (auto cached = core.cache.get(key)) {
-          // Entries are stored pre-normalized (zero timings, cache_hit set,
-          // requested_n = native n), so the common exact-native hit shares
-          // the immutable cached object with no copy at all — the hit path
-          // must not pay a deep copy of a million-gate circuit. Only a
-          // snapped request needs a copy to echo its own requested size.
-          std::shared_ptr<const MapResult> served;
-          if (cached->requested_n == req.n) {
-            served = std::move(cached);
-          } else {
-            auto snapped = std::make_shared<MapResult>(*cached);
-            snapped->requested_n = req.n;
-            served = std::move(snapped);
-          }
-          finish(*job, JobStatus::kDone, {}, std::move(served));
+          // A hit shares the immutable cached object, never a copy of its
+          // gates; the job's own size and zero timings ride on JobResult.
+          finish(*job, JobStatus::kDone, {}, std::move(cached),
+                 /*cache_hit=*/true);
           return;
         }
       }
@@ -252,19 +246,13 @@ void process(ServiceCore& core, const std::shared_ptr<JobState>& job) {
         req.circuit != nullptr
             ? core.pipeline->run_circuit(req.engine, *req.circuit, run_opts)
             : core.pipeline->run(req.engine, req.n, run_opts);
-    result.cache_hit = false;
     // Allocated non-const (then viewed as const) so a sole-owner consumer
     // like map_qft_batch may legally move the payload out.
     std::shared_ptr<const MapResult> shared =
         std::make_shared<MapResult>(std::move(result));
-    if (!key.empty()) {
-      // One normalization copy per insertion buys copy-free hits forever.
-      auto normalized = std::make_shared<MapResult>(*shared);
-      normalized->requested_n = normalized->n;
-      normalized->timings = MapTimings{};
-      normalized->cache_hit = true;
-      core.cache.put(key, std::move(normalized));
-    }
+    // The cache holds the object this job returns: one resident copy of
+    // the gates per cached result.
+    if (!key.empty()) core.cache.put(key, shared);
     finish(*job, JobStatus::kDone, {}, std::move(shared));
   } catch (const MapCancelled& e) {
     if (e.deadline_expired() || past_deadline()) {

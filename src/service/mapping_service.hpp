@@ -48,9 +48,16 @@ enum class JobStatus {
 struct JobResult {
   JobStatus status = JobStatus::kFailed;
   std::string error;  // empty iff kDone
-  /// The mapped result (shared with the cache when the request was
-  /// cacheable). Null unless kDone.
+  /// The mapped result. Null unless kDone. A cacheable request's result is
+  /// the very object the ResultCache holds, so every hit on its key shares
+  /// it: its requested_n and timings belong to the cold request that
+  /// produced it. The fields below and timings() describe this job.
   std::shared_ptr<const MapResult> result;
+  /// True when the service answered from its ResultCache (no work done).
+  bool cache_hit = false;
+  /// The size this job asked for; a hit may have snapped to a cached entry
+  /// produced for another size with the same native n.
+  std::int32_t requested_n = 0;
   /// Seconds the job sat in the queue before a worker picked it up (or
   /// before it was cancelled/expired without running).
   double queue_seconds = 0.0;
@@ -59,6 +66,11 @@ struct JobResult {
   std::int64_t dispatch_index = -1;
 
   bool ok() const { return status == JobStatus::kDone; }
+
+  /// The work this job did: the result's timings, zeroed for a cache hit.
+  MapTimings timings() const {
+    return cache_hit || result == nullptr ? MapTimings{} : result->timings;
+  }
 };
 
 namespace detail {

@@ -122,6 +122,11 @@ bool ResultCache::cacheable(const MapperEngine& engine,
          opts.sabre.device == nullptr;
 }
 
+std::uint64_t ResultCache::gate_bytes(const MapResult& result) {
+  return static_cast<std::uint64_t>(result.mapped.circuit.size()) *
+         sizeof(Gate);
+}
+
 ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
@@ -143,6 +148,7 @@ std::shared_ptr<const MapResult> ResultCache::get(const std::string& key) {
                            it->second->inserted)
                            .count();
     if (age > ttl_seconds_) {
+      s.gate_bytes -= gate_bytes(*it->second->value);
       s.lru.erase(it->second);
       s.index.erase(it);
       ++s.expired;
@@ -163,15 +169,19 @@ void ResultCache::put(const std::string& key,
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.index.find(key);
   if (it != s.index.end()) {
+    s.gate_bytes += gate_bytes(*value);
+    s.gate_bytes -= gate_bytes(*it->second->value);
     it->second->value = std::move(value);
     it->second->inserted = now;  // a refresh restarts the TTL clock
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     return;
   }
+  s.gate_bytes += gate_bytes(*value);
   s.lru.push_front(Entry{key, std::move(value), now});
   s.index.emplace(key, s.lru.begin());
   ++s.insertions;
   while (s.lru.size() > s.capacity) {
+    s.gate_bytes -= gate_bytes(*s.lru.back().value);
     s.index.erase(s.lru.back().key);
     s.lru.pop_back();
     ++s.evictions;
@@ -183,6 +193,7 @@ void ResultCache::clear() {
     std::lock_guard<std::mutex> lock(sp->mutex);
     sp->lru.clear();
     sp->index.clear();
+    sp->gate_bytes = 0;
   }
 }
 
@@ -198,6 +209,7 @@ ResultCache::Stats ResultCache::stats() const {
     total.evictions += sp->evictions;
     total.expired += sp->expired;
     total.entries += sp->lru.size();
+    total.gate_bytes += sp->gate_bytes;
   }
   return total;
 }
@@ -207,9 +219,9 @@ ResultCache::Stats ResultCache::stats() const {
 // variable-length field is length-prefixed (keys and QASM bodies may contain
 // anything), and the MapResult payload rides as to_qasm(mapped) — %.17g
 // angles make that round trip exact, so a reloaded entry is bit-identical
-// to the one saved. Cached entries are stored pre-normalized (requested_n ==
-// n, zero timings, cache_hit), so only the identity fields, the graph, the
-// check report and the circuit need to survive.
+// to the one saved. Timings and requested_n describe one request, not the
+// mapping (a hit reports its own on JobResult), so only the identity fields,
+// the graph, the check report and the circuit need to survive.
 
 namespace {
 
@@ -427,8 +439,6 @@ bool parse_cache_entry(std::istream& in, ParsedCacheEntry& out,
   result->check.counts.swap = swap;
   result->check.counts.cnot = cnot;
   result->log10_fidelity = fid;
-  result->timings = MapTimings{};
-  result->cache_hit = true;
   out.key = std::move(key);
   out.result = std::move(result);
   return true;

@@ -72,6 +72,10 @@ class ResultCache {
     std::uint64_t load_quarantined = 0;
     std::size_t entries = 0;
     std::size_t capacity = 0;  // configured global bound (entries <= capacity)
+    /// Gate-store bytes of the resident entries, Σ size() × sizeof(Gate)
+    /// over their mapped circuits (an object put under two keys counts
+    /// twice). The gates dominate an entry's footprint: Θ(n²) for QFT-n.
+    std::uint64_t gate_bytes = 0;
   };
   /// Aggregated over shards (each shard is locked in turn, so the totals are
   /// a consistent-enough snapshot for monitoring, not a barrier).
@@ -130,9 +134,11 @@ class ResultCache {
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::uint64_t expired = 0;
+    std::uint64_t gate_bytes = 0;  // of the entries in `lru`
   };
 
   Shard& shard_for(const std::string& key);
+  static std::uint64_t gate_bytes(const MapResult& result);
 
   std::size_t capacity_;
   double ttl_seconds_ = 0.0;

@@ -532,9 +532,16 @@ std::string serve_response_json(const std::string& id, const JobResult& out) {
     return s;
   }
   const MapResult& r = *out.result;
+  // A hit shares the result of the cold request that produced it, so its own
+  // size and (zero) timings come from the JobResult. A JobResult built around
+  // a fresh pipeline result need not fill requested_n: the result's own is
+  // this request's.
+  const std::int32_t requested_n =
+      out.cache_hit ? out.requested_n : r.requested_n;
+  const MapTimings timings = out.timings();
   s += ",\"ok\":true,\"status\":\"ok\"";
   s += ",\"engine\":\"" + json_escape(r.engine) + "\"";
-  s += ",\"requested_n\":" + std::to_string(r.requested_n);
+  s += ",\"requested_n\":" + std::to_string(requested_n);
   s += ",\"n\":" + std::to_string(r.n);
   s += ",\"physical\":" + std::to_string(r.graph.num_qubits());
   if (r.check.ok) {
@@ -546,20 +553,20 @@ std::string serve_response_json(const std::string& id, const JobResult& out) {
     s += ",\"log10_fidelity\":";
     append_number(s, r.log10_fidelity);
   }
-  if (r.timings.sat.solve_calls > 0) {
+  if (timings.sat.solve_calls > 0) {
     // SAT-backed engines surface their search effort; analytical engines
     // never ran a solver, so their response shape is unchanged.
-    s += ",\"sat_conflicts\":" + std::to_string(r.timings.sat.conflicts);
-    s += ",\"sat_decisions\":" + std::to_string(r.timings.sat.decisions);
-    s += ",\"sat_restarts\":" + std::to_string(r.timings.sat.restarts);
-    s += ",\"sat_solve_calls\":" + std::to_string(r.timings.sat.solve_calls);
+    s += ",\"sat_conflicts\":" + std::to_string(timings.sat.conflicts);
+    s += ",\"sat_decisions\":" + std::to_string(timings.sat.decisions);
+    s += ",\"sat_restarts\":" + std::to_string(timings.sat.restarts);
+    s += ",\"sat_solve_calls\":" + std::to_string(timings.sat.solve_calls);
   }
   s += ",\"cache_hit\":";
-  s += r.cache_hit ? "true" : "false";
+  s += out.cache_hit ? "true" : "false";
   s += ",\"map_seconds\":";
-  append_number(s, r.timings.map_seconds);
+  append_number(s, timings.map_seconds);
   s += ",\"check_seconds\":";
-  append_number(s, r.timings.check_seconds);
+  append_number(s, timings.check_seconds);
   s += ",\"queue_seconds\":";
   append_number(s, out.queue_seconds);
   s += "}";
@@ -588,7 +595,7 @@ void ServeMetrics::record_request(const ServeRequest& req) {
 void ServeMetrics::record_result(const JobResult& out) {
   queue_latency.record(out.queue_seconds);
   if (out.result != nullptr) {
-    const MapTimings& t = out.result->timings;
+    const MapTimings t = out.timings();
     map_latency.record(t.map_seconds);
     sat_conflicts.fetch_add(t.sat.conflicts, std::memory_order_relaxed);
     sat_decisions.fetch_add(t.sat.decisions, std::memory_order_relaxed);
@@ -624,7 +631,8 @@ std::string metrics_json(const MappingService& service,
   s += ",\"expired\":" + std::to_string(cache.expired);
   s += ",\"load_quarantined\":" + std::to_string(cache.load_quarantined);
   s += ",\"entries\":" + std::to_string(cache.entries);
-  s += ",\"capacity\":" + std::to_string(cache.capacity) + "}";
+  s += ",\"capacity\":" + std::to_string(cache.capacity);
+  s += ",\"gate_bytes\":" + std::to_string(cache.gate_bytes) + "}";
   s += ",\"devices\":{\"loaded\":" + count(metrics.device_loads);
   s += ",\"load_errors\":" + count(metrics.device_load_errors) + "}";
   s += ",\"sat\":{\"conflicts\":" + count(metrics.sat_conflicts);

@@ -45,13 +45,14 @@
 //    "in_flight":...,
 //    "cache":{"hits":...,"misses":...,"insertions":...,"evictions":...,
 //             "expired":...,"load_quarantined":...,"entries":...,
-//             "capacity":...},
+//             "capacity":...,"gate_bytes":...},
 //    "devices":{"loaded":...,"load_errors":...},
 //    "sat":{"conflicts":...,"decisions":...,"restarts":...,"solve_calls":...},
 //    "map_seconds":{"count":...,"p50":...,"p99":...},
 //    "queue_seconds":{"count":...,"p50":...,"p99":...}}
 //
-// `cache` mirrors MappingService::cache_stats(); `sat` totals the solver
+// `cache` mirrors MappingService::cache_stats() (`gate_bytes`: the gate-store
+// bytes the cached results hold resident); `sat` totals the solver
 // effort of every completed job; the latency quantiles come from streaming
 // histograms (~19% relative resolution, see net::LatencyHistogram).
 //
@@ -158,7 +159,7 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> sat_restarts{0};
   std::atomic<std::uint64_t> sat_solve_calls{0};
 
-  net::LatencyHistogram map_latency;    // MapResult::timings.map_seconds
+  net::LatencyHistogram map_latency;    // JobResult::timings().map_seconds
   net::LatencyHistogram queue_latency;  // JobResult::queue_seconds
 
   /// Folds one finished job into the histograms and solver totals.

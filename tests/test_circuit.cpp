@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "arch/latency_model.hpp"
 #include "circuit/circuit.hpp"
@@ -55,6 +58,140 @@ TEST(Circuit, Extend) {
   EXPECT_EQ(a.size(), 2u);
   Circuit wrong(3);
   EXPECT_THROW(a.extend(wrong), std::invalid_argument);
+}
+
+std::uint64_t angle_bits(double angle) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &angle, sizeof(bits));
+  return bits;
+}
+
+TEST(GatePacking, EveryFieldRoundTripsAtItsExtremes) {
+  static_assert(sizeof(Gate) == 16);
+  // A NaN with a payload and a negative zero: bit patterns a lossy store
+  // would canonicalize.
+  const std::uint64_t nan_bits = 0x7ff8'0000'0000'1234ull;
+  double nan_payload = 0.0;
+  std::memcpy(&nan_payload, &nan_bits, sizeof(nan_payload));
+  for (std::size_t k = 0; k < kGateKindCount; ++k) {
+    const auto kind = static_cast<GateKind>(k);
+    for (const double angle : {-0.0, nan_payload, 1.0 / 3.0}) {
+      const Gate g{kind, kMaxQubits, kInvalidQubit, angle};
+      EXPECT_EQ(g.kind, kind);
+      EXPECT_EQ(g.q0, kMaxQubits);
+      EXPECT_EQ(g.q1, kInvalidQubit);
+      EXPECT_EQ(angle_bits(g.angle), angle_bits(angle));
+    }
+    const Gate low{kind, kInvalidQubit, INT32_MAX, 0.0};
+    EXPECT_EQ(low.kind, kind);
+    EXPECT_EQ(low.q0, kInvalidQubit);
+    EXPECT_EQ(low.q1, INT32_MAX);
+  }
+  // Through the store, on the widest circuit the bound admits.
+  Circuit c(kMaxQubits);
+  c.append(Gate::cphase(kMaxQubits - 1, 0, nan_payload));
+  c.append(Gate::rz(kMaxQubits - 1, -0.0));
+  EXPECT_EQ(c[0].kind, GateKind::kCPhase);
+  EXPECT_EQ(c[0].q0, kMaxQubits - 1);
+  EXPECT_EQ(c[0].q1, 0);
+  EXPECT_EQ(angle_bits(c[0].angle), nan_bits);
+  EXPECT_EQ(c[1].q0, kMaxQubits - 1);
+  EXPECT_EQ(c[1].q1, kInvalidQubit);
+  EXPECT_EQ(angle_bits(c[1].angle), angle_bits(-0.0));
+}
+
+TEST(GatePacking, CircuitRejectsWiresQ0CannotHold) {
+  EXPECT_EQ(kMaxQubits, (1 << 27) - 1);
+  EXPECT_NO_THROW(Circuit{kMaxQubits});
+  EXPECT_THROW(Circuit{1 << 27}, std::invalid_argument);
+  EXPECT_THROW(Circuit{INT32_MAX}, std::invalid_argument);
+}
+
+TEST(GatePacking, FingerprintMatchesTheUnpackedLayout) {
+  // Cache keys hash gate fields, not bytes: this value was taken with the
+  // 24-byte Gate, so packing moved no key and no cache file entry.
+  const std::int32_t top = kMaxQubits;
+  Circuit c(top);
+  c.append(Gate::h(0));
+  c.append(Gate::x(5));
+  c.append(Gate::rz(7, 0.123456789));
+  c.append(Gate::cphase(1, 2, M_PI / 8));
+  c.append(Gate::swap(3, top - 1));
+  c.append(Gate::cnot(top - 2, 0));
+  for (std::int32_t i = 0; i < 64; ++i) {
+    c.append(Gate::cphase(i, i + 1, M_PI / std::ldexp(1.0, i % 20)));
+    c.append(Gate::swap(i + 1, i));
+    c.append(Gate::rz(top - 1 - i, -0.5 * i));
+  }
+  ASSERT_EQ(c.size(), 198u);
+  EXPECT_EQ(c.fingerprint(), 0x5c98b24396a5bfd3ull);
+}
+
+/// The i-th gate of a deterministic mixed stream over `wires` wires.
+Gate nth_gate(std::size_t i, std::int32_t wires) {
+  const auto a = static_cast<std::int32_t>(i % static_cast<std::size_t>(wires));
+  const std::int32_t b = (a + 1) % wires;
+  switch (i % 4) {
+    case 0: return Gate::h(a);
+    case 1: return Gate::cphase(a, b, 1.0 / static_cast<double>(i + 1));
+    case 2: return Gate::swap(b, a);
+    default: return Gate::rz(a, -static_cast<double>(i));
+  }
+}
+
+void expect_stream(const Circuit& c, std::size_t from, std::size_t count,
+                   std::size_t offset = 0) {
+  ASSERT_GE(c.size(), offset + count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Gate want = nth_gate(from + i, c.num_qubits());
+    const Gate& got = c[offset + i];
+    ASSERT_TRUE(got.kind == want.kind && got.q0 == want.q0 &&
+                got.q1 == want.q1 &&
+                angle_bits(got.angle) == angle_bits(want.angle))
+        << "gate " << offset + i;
+  }
+}
+
+TEST(GatePacking, StoreKeepsEveryGateThroughCopyMoveExtendAndGrowth) {
+  constexpr std::int32_t kWires = 97;
+  // Growth past a reservation, small enough for the heap and large enough
+  // (32 MiB past a 16 MiB reservation) for a block with its own mapping.
+  for (const std::size_t reserved : {std::size_t{100}, std::size_t{1} << 20}) {
+    const std::size_t count = 2 * reserved + 5;
+    Circuit c(kWires);
+    c.reserve(reserved);
+    EXPECT_GE(c.capacity(), reserved);
+    for (std::size_t i = 0; i < count; ++i) c.append(nth_gate(i, kWires));
+    EXPECT_EQ(c.size(), count);
+    expect_stream(c, 0, count);
+
+    c.shrink_to_fit();
+    EXPECT_EQ(c.capacity(), count);
+    expect_stream(c, 0, count);
+
+    const Circuit copy = c;
+    EXPECT_EQ(copy.capacity(), count) << "copies are exact-sized";
+    expect_stream(copy, 0, count);
+
+    Circuit moved = std::move(c);
+    EXPECT_EQ(c.size(), 0u);
+    expect_stream(moved, 0, count);
+
+    Circuit assigned(1);
+    assigned.append(Gate::h(0));
+    assigned = copy;
+    EXPECT_EQ(assigned.num_qubits(), kWires);
+    expect_stream(assigned, 0, count);
+
+    moved.extend(copy);
+    EXPECT_EQ(moved.size(), 2 * count);
+    expect_stream(moved, 0, count);
+    expect_stream(moved, 0, count, count);
+  }
+  Circuit empty(kWires);
+  empty.shrink_to_fit();
+  EXPECT_EQ(empty.capacity(), 0u);
+  EXPECT_EQ(empty.begin(), empty.end());
 }
 
 TEST(QftSpec, GateCount) {

@@ -245,11 +245,11 @@ TEST(Service, GeneralCircuitsAreCachedByContent) {
 
   const JobResult cold = service.submit(req).wait();
   ASSERT_TRUE(cold.ok()) << cold.error;
-  EXPECT_FALSE(cold.result->cache_hit);
+  EXPECT_FALSE(cold.cache_hit);
 
   const JobResult warm = service.submit(req).wait();
   ASSERT_TRUE(warm.ok()) << warm.error;
-  EXPECT_TRUE(warm.result->cache_hit);
+  EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.result->mapped.circuit.size(),
             cold.result->mapped.circuit.size());
 
@@ -261,7 +261,7 @@ TEST(Service, GeneralCircuitsAreCachedByContent) {
   req2.circuit = std::make_shared<const Circuit>(std::move(other));
   const JobResult distinct = service.submit(req2).wait();
   ASSERT_TRUE(distinct.ok()) << distinct.error;
-  EXPECT_FALSE(distinct.result->cache_hit);
+  EXPECT_FALSE(distinct.cache_hit);
 }
 
 TEST(Service, CircuitSizeMismatchFailsInBand) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -11,7 +12,9 @@
 #include "arch/sycamore.hpp"
 #include "circuit/qft_spec.hpp"
 #include "circuit/stats.hpp"
+#include "mapper/emitter.hpp"
 #include "mapper/lnn_mapper.hpp"
+#include "mapper/sycamore_mapper.hpp"
 #include "pipeline/batch.hpp"
 #include "pipeline/mapper_pipeline.hpp"
 #include "sat/solver_interface.hpp"
@@ -398,6 +401,39 @@ TEST(PipelineDeterminism, StructuredEnginesAreSeedFree) {
         << engine;
     EXPECT_EQ(a.mapped.initial, b.mapped.initial) << engine;
     EXPECT_EQ(a.mapped.final_mapping, b.mapped.final_mapping) << engine;
+  }
+}
+
+// ------------------------------------------------- gate-store reservations --
+
+/// The gate count a structured mapper reserves before emitting QFT at native
+/// size n: sycamore reserves by its grid side, the line-based ones by n.
+std::int64_t reservation(const std::string& engine, std::int32_t n) {
+  if (engine == "sycamore") {
+    return sycamore_gate_reservation(
+        static_cast<std::int32_t>(std::lround(std::sqrt(n))));
+  }
+  return qft_gate_reservation(n);
+}
+
+TEST(PipelineReservation, StructuredEnginesReserveWhatTheyEmit) {
+  // A short reservation makes the emit loop grow the store and fault pages
+  // in mid-loop; a loose one prefaults memory nobody writes.
+  MapOptions opts;
+  opts.verify = false;
+  for (const char* engine : {"lnn", "heavy_hex", "heavy_hex_device",
+                             "sycamore", "lattice", "grid", "lnn_baseline"}) {
+    for (const std::int32_t n : {64, 500, 2048}) {
+      const MapResult r = map_qft(engine, n, opts);
+      const auto emitted = static_cast<std::int64_t>(r.mapped.circuit.size());
+      const std::int64_t reserved = reservation(engine, r.n);
+      EXPECT_GE(reserved, emitted) << engine << " n=" << r.n;
+      EXPECT_LE(static_cast<double>(reserved),
+                1.12 * static_cast<double>(emitted))
+          << engine << " n=" << r.n;
+      EXPECT_EQ(r.mapped.circuit.capacity(), r.mapped.circuit.size())
+          << engine << " n=" << r.n << ": results carry no reserved slack";
+    }
   }
 }
 

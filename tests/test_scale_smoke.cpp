@@ -9,7 +9,8 @@
 //
 // The budget self-calibrates to the host's memory system: device-scale
 // emission is store-bandwidth-bound (the QFT-8192 gate stream alone is
-// ~1.6 GB of first-touch writes), so the test measures fresh-memory store
+// 68.4M gates, ~1.1 GB of first-touch writes at 16 B per gate), so the test
+// measures fresh-memory store
 // bandwidth once and widens the budget by kReferenceStoreGBps / measured
 // when the host is slower than the reference machine. On hardware at or
 // above the reference the factor is 1 and the advertised bounds are asserted

@@ -245,28 +245,28 @@ TEST(Service, CacheHitZeroesSabreStats) {
 
   const JobResult warm = service.submit({"sabre", 9, MapOptions{}}).wait();
   ASSERT_TRUE(warm.ok()) << warm.error;
-  EXPECT_TRUE(warm.result->cache_hit);
-  EXPECT_EQ(warm.result->timings.sabre.passes, 0);
-  EXPECT_EQ(warm.result->timings.sabre.blocked_steps, 0);
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.timings().sabre.passes, 0);
+  EXPECT_EQ(warm.timings().sabre.blocked_steps, 0);
 }
 
 TEST(Service, CacheHitIsBitIdenticalWithZeroMapTime) {
   MappingService service{service_options(2)};
   const JobResult cold = service.submit({"lattice", 10, MapOptions{}}).wait();
   ASSERT_TRUE(cold.ok()) << cold.error;
-  EXPECT_FALSE(cold.result->cache_hit);
+  EXPECT_FALSE(cold.cache_hit);
 
   const JobResult warm = service.submit({"lattice", 10, MapOptions{}}).wait();
   ASSERT_TRUE(warm.ok()) << warm.error;
-  EXPECT_TRUE(warm.result->cache_hit);
-  EXPECT_EQ(warm.result->timings.map_seconds, 0.0);
-  EXPECT_EQ(warm.result->timings.check_seconds, 0.0);
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.timings().map_seconds, 0.0);
+  EXPECT_EQ(warm.timings().check_seconds, 0.0);
 
   // Bit-identical to a fresh pipeline.run on every payload field.
   const MapResult fresh = MapperPipeline::global().run("lattice", 10);
   const MapResult& hit = *warm.result;
   EXPECT_EQ(hit.engine, fresh.engine);
-  EXPECT_EQ(hit.requested_n, fresh.requested_n);
+  EXPECT_EQ(warm.requested_n, fresh.requested_n);
   EXPECT_EQ(hit.n, fresh.n);
   EXPECT_EQ(hit.mapped.circuit.to_string(), fresh.mapped.circuit.to_string());
   EXPECT_EQ(hit.mapped.initial, fresh.mapped.initial);
@@ -290,9 +290,39 @@ TEST(Service, CacheKeyUsesNativeSizeButEchoesRequestedSize) {
   const JobResult second =
       service.submit({"lattice", 16, MapOptions{}}).wait();
   ASSERT_TRUE(second.ok()) << second.error;
-  EXPECT_TRUE(second.result->cache_hit);
-  EXPECT_EQ(second.result->requested_n, 16);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.requested_n, 16);
   EXPECT_EQ(second.result->n, 16);
+}
+
+TEST(Service, CacheHoldsTheColdResultAndEveryHitSharesIt) {
+  MappingService service{service_options(1)};
+  const JobResult cold = service.submit({"lattice", 10, MapOptions{}}).wait();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_EQ(cold.requested_n, 10);
+  EXPECT_EQ(cold.timings().map_seconds, cold.result->timings.map_seconds);
+
+  // n=10 and n=16 both snap to the native 16: an exact and a snapped hit.
+  const JobResult exact = service.submit({"lattice", 10, MapOptions{}}).wait();
+  const JobResult snapped =
+      service.submit({"lattice", 16, MapOptions{}}).wait();
+  ASSERT_TRUE(exact.ok() && snapped.ok()) << exact.error << snapped.error;
+  EXPECT_TRUE(exact.cache_hit);
+  EXPECT_TRUE(snapped.cache_hit);
+  // One resident copy of the gates: the cache holds the cold job's object.
+  EXPECT_EQ(exact.result.get(), cold.result.get());
+  EXPECT_EQ(snapped.result.get(), cold.result.get());
+  EXPECT_EQ(snapped.requested_n, 16);
+  EXPECT_EQ(exact.requested_n, 10);
+  EXPECT_EQ(cold.result->requested_n, 10) << "the shared result is the cold one";
+
+  const std::uint64_t bytes = cold.result->mapped.circuit.size() * sizeof(Gate);
+  EXPECT_GT(bytes, 0u);
+  EXPECT_EQ(service.cache_stats().gate_bytes, bytes);
+  EXPECT_NE(metrics_json(service, ServeMetrics{})
+                .find("\"gate_bytes\":" + std::to_string(bytes) + "}"),
+            std::string::npos);
 }
 
 TEST(Service, CacheInvalidatedByAblationKnobs) {
@@ -307,15 +337,15 @@ TEST(Service, CacheInvalidatedByAblationKnobs) {
   // to the strict variant (observably deeper, per the §3.3 ablation).
   const JobResult s1 = service.submit({"sycamore", 36, strict}).wait();
   ASSERT_TRUE(s1.ok()) << s1.error;
-  EXPECT_FALSE(s1.result->cache_hit);
+  EXPECT_FALSE(s1.cache_hit);
   EXPECT_GT(s1.result->check.depth, r1.result->check.depth);
 
   // Each variant now hits its own entry.
   const JobResult r2 = service.submit({"sycamore", 36, relaxed}).wait();
   const JobResult s2 = service.submit({"sycamore", 36, strict}).wait();
   ASSERT_TRUE(r2.ok() && s2.ok());
-  EXPECT_TRUE(r2.result->cache_hit);
-  EXPECT_TRUE(s2.result->cache_hit);
+  EXPECT_TRUE(r2.cache_hit);
+  EXPECT_TRUE(s2.cache_hit);
   EXPECT_EQ(r2.result->check.depth, r1.result->check.depth);
   EXPECT_EQ(s2.result->check.depth, s1.result->check.depth);
 
@@ -331,8 +361,8 @@ TEST(Service, NonDeterministicAndTargetedRequestsAreNeverCached) {
   const JobResult a = service.submit({"satmap", 4, satmap_opts}).wait();
   const JobResult b = service.submit({"satmap", 4, satmap_opts}).wait();
   ASSERT_TRUE(a.ok() && b.ok()) << a.error << b.error;
-  EXPECT_FALSE(a.result->cache_hit);
-  EXPECT_FALSE(b.result->cache_hit) << "satmap is wall-clock dependent";
+  EXPECT_FALSE(a.cache_hit);
+  EXPECT_FALSE(b.cache_hit) << "satmap is wall-clock dependent";
 
   const CouplingGraph target = make_line(9);
   MapOptions targeted;
@@ -341,7 +371,7 @@ TEST(Service, NonDeterministicAndTargetedRequestsAreNeverCached) {
   const JobResult t1 = service.submit({"sabre", 9, targeted}).wait();
   const JobResult t2 = service.submit({"sabre", 9, targeted}).wait();
   ASSERT_TRUE(t1.ok() && t2.ok()) << t1.error << t2.error;
-  EXPECT_FALSE(t2.result->cache_hit) << "caller-owned graphs are uncacheable";
+  EXPECT_FALSE(t2.cache_hit) << "caller-owned graphs are uncacheable";
 }
 
 TEST(Service, CacheCanBeDisabledPerJobAndPerService) {
@@ -349,7 +379,7 @@ TEST(Service, CacheCanBeDisabledPerJobAndPerService) {
   ASSERT_TRUE(cacheless.submit({"lnn", 8, MapOptions{}}).wait().ok());
   const JobResult again = cacheless.submit({"lnn", 8, MapOptions{}}).wait();
   ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(again.result->cache_hit);
+  EXPECT_FALSE(again.cache_hit);
 
   MappingService service{service_options(2)};
   ASSERT_TRUE(service.submit({"lnn", 8, MapOptions{}}).wait().ok());
@@ -358,7 +388,7 @@ TEST(Service, CacheCanBeDisabledPerJobAndPerService) {
   const JobResult bypass =
       service.submit({"lnn", 8, MapOptions{}}, no_cache).wait();
   ASSERT_TRUE(bypass.ok());
-  EXPECT_FALSE(bypass.result->cache_hit);
+  EXPECT_FALSE(bypass.cache_hit);
 }
 
 TEST(ResultCache, LruEvictsTheColdestEntryPerShard) {
@@ -374,6 +404,41 @@ TEST(ResultCache, LruEvictsTheColdestEntryPerShard) {
   const ResultCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
+}
+
+std::shared_ptr<const MapResult> result_with_gates(std::size_t gates) {
+  auto r = std::make_shared<MapResult>();
+  r->mapped.circuit = Circuit(1);
+  for (std::size_t i = 0; i < gates; ++i) r->mapped.circuit.append(Gate::h(0));
+  return r;
+}
+
+TEST(ResultCache, GateBytesTrackInsertsEvictionsAndExpiry) {
+  constexpr std::uint64_t kGate = sizeof(Gate);
+  const auto three = result_with_gates(3), five = result_with_gates(5),
+             seven = result_with_gates(7);
+  ResultCache cache(/*capacity=*/2, /*shards=*/1);
+  EXPECT_EQ(cache.stats().gate_bytes, 0u);
+  cache.put("a", three);
+  EXPECT_EQ(cache.stats().gate_bytes, 3 * kGate);
+  cache.put("b", five);
+  EXPECT_EQ(cache.stats().gate_bytes, 8 * kGate);
+  cache.put("a", seven);  // a refresh swaps the charge, not adds to it
+  EXPECT_EQ(cache.stats().gate_bytes, 12 * kGate);
+  cache.put("c", three);  // evicts "b", the LRU tail
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().gate_bytes, 10 * kGate);
+  cache.clear();
+  EXPECT_EQ(cache.stats().gate_bytes, 0u);
+
+  ResultCache aging(/*capacity=*/4, /*shards=*/1, /*ttl_seconds=*/0.02);
+  aging.put("x", five);
+  aging.put("y", three);
+  EXPECT_EQ(aging.stats().gate_bytes, 8 * kGate);
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(aging.get("x"), nullptr);
+  EXPECT_EQ(aging.stats().expired, 1u);
+  EXPECT_EQ(aging.stats().gate_bytes, 3 * kGate) << "expiry releases x only";
 }
 
 TEST(ResultCache, GlobalCapacityBoundHoldsWhenShardsDoNotDivide) {
@@ -403,7 +468,7 @@ TEST(ResultCache, SaveLoadRoundTripServesBitIdenticalHits) {
 
   const JobResult warm = second.submit({"lattice", 9, MapOptions{}}).wait();
   ASSERT_TRUE(warm.ok()) << warm.error;
-  EXPECT_TRUE(warm.result->cache_hit) << "restored entries must hit";
+  EXPECT_TRUE(warm.cache_hit) << "restored entries must hit";
   // The QASM codec is the payload authority: round-tripped gates, angles and
   // mappings must compare equal character for character.
   EXPECT_EQ(to_qasm(warm.result->mapped), to_qasm(lat.result->mapped));
@@ -415,11 +480,11 @@ TEST(ResultCache, SaveLoadRoundTripServesBitIdenticalHits) {
   EXPECT_EQ(warm.result->check.depth, lat.result->check.depth);
   EXPECT_EQ(warm.result->check.counts.cnot, lat.result->check.counts.cnot);
   EXPECT_EQ(warm.result->check.counts.swap, lat.result->check.counts.swap);
-  EXPECT_EQ(warm.result->timings.map_seconds, 0.0);
+  EXPECT_EQ(warm.timings().map_seconds, 0.0);
 
   const JobResult warm2 = second.submit({"lnn", 6, MapOptions{}}).wait();
   ASSERT_TRUE(warm2.ok()) << warm2.error;
-  EXPECT_TRUE(warm2.result->cache_hit);
+  EXPECT_TRUE(warm2.cache_hit);
 
   // Garbage fails with a message, never an exception.
   std::istringstream garbage("not a cache file\n");
@@ -522,11 +587,43 @@ TEST(ServiceBatch, SecondIdenticalBatchIsServedFromTheCache) {
   for (std::size_t i = 0; i < cold.size(); ++i) {
     ASSERT_TRUE(cold[i].ok) << cold[i].error;
     ASSERT_TRUE(warm[i].ok) << warm[i].error;
-    EXPECT_TRUE(warm[i].result.cache_hit);
+    EXPECT_TRUE(warm[i].cache_hit);
     EXPECT_EQ(warm[i].result.timings.map_seconds, 0.0);
     EXPECT_EQ(warm[i].result.mapped.circuit.to_string(),
               cold[i].result.mapped.circuit.to_string());
   }
+}
+
+TEST(ServiceBatch, HitsAndMissesReturnEqualResults) {
+  // A private pipeline gets a service (and cache) scoped to the call, so the
+  // first request is a guaranteed miss and the snapped repeats hit it.
+  const MapperPipeline pipeline = MapperPipeline::with_paper_engines();
+  const std::vector<BatchRequest> reqs = {
+      {"grid", 30, MapOptions{}}, {"grid", 36, MapOptions{}},
+      {"grid", 30, MapOptions{}}};
+  const auto items = map_qft_batch(reqs, 1, pipeline);
+  ASSERT_EQ(items.size(), reqs.size());
+  EXPECT_FALSE(items[0].cache_hit);
+  EXPECT_TRUE(items[1].cache_hit);
+  EXPECT_TRUE(items[2].cache_hit);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ASSERT_TRUE(items[i].ok) << items[i].error;
+    const MapResult fresh = pipeline.run(reqs[i].engine, reqs[i].n);
+    const MapResult& got = items[i].result;
+    EXPECT_EQ(got.requested_n, reqs[i].n) << i;
+    EXPECT_EQ(got.n, fresh.n) << i;
+    EXPECT_EQ(got.mapped.circuit.fingerprint(),
+              fresh.mapped.circuit.fingerprint())
+        << i;
+    EXPECT_EQ(got.mapped.initial, fresh.mapped.initial) << i;
+    EXPECT_EQ(got.mapped.final_mapping, fresh.mapped.final_mapping) << i;
+    EXPECT_EQ(got.check.depth, fresh.check.depth) << i;
+    EXPECT_EQ(got.log10_fidelity, fresh.log10_fidelity) << i;
+    if (items[i].cache_hit) EXPECT_EQ(got.timings.map_seconds, 0.0) << i;
+  }
+  // Each item owns its gates; no two alias the cached store.
+  EXPECT_NE(items[1].result.mapped.circuit.data(),
+            items[2].result.mapped.circuit.data());
 }
 
 // ---------------------------------------------------------- serve protocol --
@@ -653,6 +750,34 @@ TEST(Serve, LoopStreamsResponsesInRequestOrderWithCacheHits) {
   EXPECT_NE(lines[2].find("unknown engine"), std::string::npos);
   EXPECT_NE(lines[3].find("\"ok\":false"), std::string::npos);
   EXPECT_NE(lines[3].find("parse error"), std::string::npos);
+}
+
+TEST(Serve, SnappedHitAnswersItsOwnRequestedSize) {
+  // 10, 16 and 12 all snap to the native 16 on the lattice engine.
+  std::istringstream in("{\"id\":1,\"engine\":\"lattice\",\"n\":10}\n"
+                        "{\"id\":2,\"engine\":\"lattice\",\"n\":16}\n"
+                        "{\"id\":3,\"engine\":\"lattice\",\"n\":12}\n");
+  std::ostringstream out;
+  MappingService service{service_options(1)};
+  EXPECT_EQ(run_serve_loop(in, out, service), 0);
+
+  std::vector<std::string> lines;
+  std::istringstream reread(out.str());
+  for (std::string line; std::getline(reread, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u) << out.str();
+  EXPECT_NE(lines[0].find("\"requested_n\":10,\"n\":16,"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("\"cache_hit\":false"), std::string::npos);
+  EXPECT_NE(lines[1].find("\"requested_n\":16,\"n\":16,"), std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find("\"requested_n\":12,\"n\":16,"), std::string::npos)
+      << lines[2];
+  for (const std::size_t i : {1u, 2u}) {
+    EXPECT_NE(lines[i].find("\"cache_hit\":true,\"map_seconds\":0,"
+                            "\"check_seconds\":0,"),
+              std::string::npos)
+        << lines[i];
+  }
 }
 
 TEST(Serve, UnicodeEscapesDecodeToUtf8) {
@@ -992,7 +1117,7 @@ TEST(Service, CacheTtlOptionAgesServedEntries) {
   std::this_thread::sleep_for(50ms);
   const JobResult again = service.submit(req).wait();
   ASSERT_EQ(again.status, JobStatus::kDone);
-  EXPECT_FALSE(again.result->cache_hit) << "the entry should have aged out";
+  EXPECT_FALSE(again.cache_hit) << "the entry should have aged out";
   EXPECT_GE(service.cache_stats().expired, 1u);
 }
 
