@@ -21,8 +21,14 @@
 //                            steered), default trials. items = logical
 //                            gates routed.
 //   The route_* families also report SabreStats per route: passes,
-//   blocked_steps, rebuilt_steps (blocked steps that rebuilt the step
-//   state instead of patching it) and swaps.
+//   blocked_steps, rebuilt_steps (blocked steps that start a pass or
+//   follow an executed gate: the step state is patched for the gates that
+//   left or joined the front and the extended set), deltas_computed
+//   (candidate deltas priced; a cached delta is reused until a patch
+//   touches one of its qubits) and swaps.
+//   These counters are deterministic; bench/ledger/BENCH_sabre_counters.json
+//   pins them for the route_qft and route_circuit families (see
+//   scripts/perf_trend_guard.py).
 //   oracle_query/<topo>/nN — random-pair distance queries through the
 //                            oracle's closed forms. items = queries.
 //   oracle_rows/<topo>/nN  — full row materialization (what DistView pins
@@ -107,6 +113,8 @@ void route_loop(benchmark::State& state, const Circuit& logical,
   state.counters["passes"] = static_cast<double>(stats.passes);
   state.counters["blocked_steps"] = static_cast<double>(stats.blocked_steps);
   state.counters["rebuilt_steps"] = static_cast<double>(stats.rebuilt_steps);
+  state.counters["deltas_computed"] =
+      static_cast<double>(stats.deltas_computed);
   state.counters["swaps"] = static_cast<double>(stats.swaps);
 }
 

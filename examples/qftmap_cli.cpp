@@ -503,10 +503,12 @@ int main(int argc, char** argv) {
       if (result.timings.sabre.passes > 0) {
         const SabreStats& st = result.timings.sabre;
         std::printf("sabre search   : %lld passes, %lld blocked steps "
-                    "(%lld rebuilt the step state), %lld swaps\n",
+                    "(%lld after an executed gate), %lld candidate deltas "
+                    "priced, %lld swaps\n",
                     static_cast<long long>(st.passes),
                     static_cast<long long>(st.blocked_steps),
                     static_cast<long long>(st.rebuilt_steps),
+                    static_cast<long long>(st.deltas_computed),
                     static_cast<long long>(st.swaps));
       }
       if (sim_err >= 0) std::printf("simulation err : %.2e\n", sim_err);

@@ -27,11 +27,25 @@ never block the first run, an expired-artifact run, or a benchmark rename.
 Noise guard: series must regress against the *ratio* threshold; absolute
 items/sec are machine-dependent and never compared across machines here
 because both sides ran on the same runner pool.
+
+Counter ledger: SABRE's route_qft/* and route_circuit/* work counters
+(passes, blocked_steps, rebuilt_steps, deltas_computed, swaps) are a
+function of the code and the inputs, not of the machine, so they are pinned
+in bench/ledger/BENCH_sabre_counters.json and compared exactly. Any counter
+that differs from the ledger, and any such benchmark missing from either
+side, fails the guard, with or without a baseline artifact. A change that
+alters SABRE's work on purpose re-records the ledger:
+
+    ./build/bench_sabre --benchmark_filter='^route_(qft|circuit)/' \
+        --benchmark_min_time=0.05 --benchmark_out=BENCH_sabre.json \
+        --benchmark_out_format=json
+    python3 scripts/perf_trend_guard.py --record-counters BENCH_sabre.json
 """
 
 import argparse
 import json
 import os
+import re
 import sys
 
 # (file, name prefixes, label, threshold override or None for --threshold)
@@ -69,17 +83,90 @@ def load_series(path, prefixes):
     return series
 
 
+# The deterministic SABRE work counters and the benchmarks that report them.
+COUNTER_FILE = "BENCH_sabre.json"
+COUNTER_NAMES = re.compile(r"^route_(qft|circuit)/")
+COUNTERS = ("passes", "blocked_steps", "rebuilt_steps", "deltas_computed",
+            "swaps")
+LEDGER = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "ledger",
+    "BENCH_sabre_counters.json"))
+
+
+def load_counters(path):
+    """name -> {counter: int} for the counter benchmarks in one JSON file."""
+    with open(path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    series = {}
+    for b in doc.get("benchmarks", []):
+        name = b.get("name", "")
+        if b.get("run_type") == "aggregate" or not COUNTER_NAMES.match(name):
+            continue
+        series[name] = {c: int(round(b[c])) for c in COUNTERS if c in b}
+    return series
+
+
+def record_counters(bench_path, ledger_path):
+    series = load_counters(bench_path)
+    if not series:
+        print(f"perf-guard: {bench_path} holds no route_qft/route_circuit "
+              f"benchmarks")
+        return 1
+    with open(ledger_path, "w", encoding="utf-8") as f:
+        json.dump({"counters": list(COUNTERS), "benchmarks": series}, f,
+                  indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"perf-guard: wrote {len(series)} benchmarks to {ledger_path}")
+    return 0
+
+
+def check_counters(cur_path, ledger_path):
+    """Mismatches between this run's SABRE counters and the ledger."""
+    with open(ledger_path, "r", encoding="utf-8") as f:
+        ledger = json.load(f)["benchmarks"]
+    cur = load_counters(cur_path)
+    problems = []
+    for name in sorted(set(ledger) | set(cur)):
+        if name not in cur:
+            problems.append(f"{name}: in the ledger, not in this run")
+            continue
+        if name not in ledger:
+            problems.append(f"{name}: not in the ledger")
+            continue
+        for c in COUNTERS:
+            want, got = ledger[name].get(c), cur[name].get(c)
+            if want != got:
+                problems.append(f"{name}: {c} {want} in the ledger, {got} "
+                                f"in this run")
+    status = "DIFFERS" if problems else "ok"
+    print(f"perf-guard: SABRE counters of {len(cur)} benchmarks against "
+          f"the ledger [{status}]")
+    return problems
+
+
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--current", required=True,
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--current",
                     help="directory holding this run's BENCH_*.json")
-    ap.add_argument("--baseline", required=True,
+    ap.add_argument("--baseline",
                     help="directory holding the previous run's artifact")
     ap.add_argument("--threshold", type=float, default=0.20,
                     help="max allowed fractional regression (default 0.20)")
+    ap.add_argument("--record-counters", metavar="BENCH_SABRE_JSON",
+                    help="write the counters of this bench_sabre output to "
+                         "bench/ledger/BENCH_sabre_counters.json and exit")
     args = ap.parse_args()
+    if args.record_counters:
+        return record_counters(args.record_counters, LEDGER)
+    if not args.current or not args.baseline:
+        ap.error("--current and --baseline are required")
 
     regressions = []
+    cur_counters = os.path.join(args.current, COUNTER_FILE)
+    if os.path.exists(cur_counters):
+        for p in check_counters(cur_counters, LEDGER):
+            regressions.append(f"SABRE work counters: {p}")
     compared = 0
     for fname, prefixes, label, threshold in GUARDS:
         if threshold is None:

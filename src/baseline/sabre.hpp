@@ -17,13 +17,18 @@ namespace qfto {
 class DeviceModel;
 
 /// Work counters of one sabre_route / sabre_route_single call, summed over
-/// every trial and pass. A blocked step chooses one SWAP; it rebuilds the
-/// step state (extended set, endpoint index, candidate deltas) only when a
-/// gate executed since the previous step, and patches it otherwise.
+/// every trial and pass. A blocked step chooses one SWAP. The step state
+/// (extended set, endpoint index, candidate deltas) is patched, never
+/// rebuilt: after a SWAP for the pairs it moved, and after executed gates
+/// for the pairs that left or joined the front layer and the extended set.
+/// Only the candidates a patch can have changed are priced again. Every
+/// count is a function of the inputs, not of the machine.
 struct SabreStats {
   std::int64_t passes = 0;         // routing passes, refinement included
   std::int64_t blocked_steps = 0;  // steps that chose a SWAP
-  std::int64_t rebuilt_steps = 0;  // blocked steps that rebuilt the state
+  std::int64_t rebuilt_steps = 0;  // blocked steps that start a pass or
+                                   // follow an executed gate
+  std::int64_t deltas_computed = 0;  // candidate deltas priced
   std::int64_t swaps = 0;          // SWAPs in the returned route
 };
 

@@ -296,6 +296,7 @@ inline Extracted extract(const SolverInterface& s, const Encoder& e,
     }
   }
   out.mapped.final_mapping = mapping_at(layers);
+  out.mapped.circuit.shrink_to_fit();  // results carry no growth slack
   return out;
 }
 

@@ -46,7 +46,10 @@ MappedCircuit map_main_line(const CouplingGraph& g,
 
   QftState state(n);
   LayerEmitter em(g, std::move(initial), state, audit);
-  em.reserve_gates(qft_gate_reservation(n));
+  std::vector<std::int32_t> junctions;
+  junctions.reserve(dangling.size());
+  for (const auto& [pos, node] : dangling) junctions.push_back(pos);
+  em.reserve_gates(heavy_hex_gate_reservation(main_len, junctions));
 
   std::vector<std::uint8_t> parked(num_dangle, 0);
   const Line main_line(em, main);

@@ -411,6 +411,120 @@ TEST(SabreGolden, PinSetFlushMidPass) {
             static_cast<std::int64_t>(g.distances().row_budget()));
 }
 
+/// Brickwork CX layers over a shuffled register: layer l pairs positions
+/// (i, i+1) for i = l mod 2, l mod 2 + 2, ... Each gate past the first layer
+/// follows two gates of the layer before, so the extended-set walk from a
+/// front of such gates reaches it along both paths and lists it twice.
+Circuit brickwork_circuit(std::int32_t n, std::int32_t layers,
+                          Xoshiro256ss& rng) {
+  std::vector<LogicalQubit> q(static_cast<std::size_t>(n));
+  for (std::int32_t i = 0; i < n; ++i) q[i] = i;
+  for (std::int32_t i = n - 1; i > 0; --i) {
+    std::swap(q[i], q[rng.uniform(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  Circuit c(n);
+  for (std::int32_t l = 0; l < layers; ++l) {
+    for (std::int32_t i = l % 2; i + 1 < n; i += 2) {
+      c.append(Gate::cnot(q[i], q[i + 1]));
+    }
+  }
+  return c;
+}
+
+TEST(SabreGolden, ExecutedGatePatchTable) {
+  // Pinned while a blocked step after an executed gate still rebuilt the
+  // step state from scratch. Each row drives one part of the patch that
+  // replaced the rebuild: several gates running after one SWAP (lattice
+  // surgery, grids), extended sets of 0, 1, 2 and 64 gates (64 outlasts
+  // what is left of the DAG near the end of a pass), a walk that lists a
+  // gate twice (brickwork), the relaxed DAG, empty physical slots, and the
+  // penalty-steered fidelity objective on randomly calibrated devices.
+  SabreOptions two;
+  two.trials = 2;
+  const auto with_ext = [](std::int32_t size) {
+    SabreOptions o;
+    o.trials = 2;
+    o.extended_size = size;
+    return o;
+  };
+  SabreOptions relaxed = two;
+  relaxed.use_relaxed_dag = true;
+
+  Xoshiro256ss rng(0x9a7c4);
+  const Circuit brick = brickwork_circuit(20, 12, rng);
+  const Circuit sparse = random_circuit(20, 120, rng);
+  const DeviceModel dev_a = DeviceModel::from_json(random_device_json(30, rng));
+  const Circuit dev_circuit = random_circuit(30, 150, rng);
+  const DeviceModel dev_b = DeviceModel::from_json(random_device_json(24, rng));
+  const CouplingGraph g_a = dev_a.build_graph();
+  const CouplingGraph g_b = dev_b.build_graph();
+  const auto steered = [](const DeviceModel& dev) {
+    SabreOptions o;
+    o.trials = 2;
+    o.fidelity_objective = true;
+    o.device = &dev;
+    return o;
+  };
+
+  const struct {
+    const char* name;
+    SabreStream got;
+    SabreStream want;
+  } rows[] = {
+      {"qft16/lattice_full4",
+       route_stream(qft_logical(16), make_lattice_surgery_full(4), two),
+       {0xc0ad2ab00d41930cull, 0xbe7b8286c9a376ebull,
+        0xf329db7bc7edb30bull, 41}},
+      {"qft36/lattice_full6",
+       route_stream(qft_logical(36), make_lattice_surgery_full(6), two),
+       {0x62d712da94636571ull, 0x9c265943c5dc19afull,
+        0x910e5401dbb45fd1ull, 281}},
+      {"qft30/grid5x6", route_stream(qft_logical(30), make_grid(5, 6), two),
+       {0x32056094a323113bull, 0xf3629b94c6f8380eull,
+        0x03f9aa23b175b19aull, 355}},
+      {"ext0/qft24/line24",
+       route_stream(qft_logical(24), make_line(24), with_ext(0)),
+       {0xc0ec366d835f681dull, 0x3143abdda8ad5e0full,
+        0x6b68dad2b76d3291ull, 612}},
+      {"ext1/qft20/grid4x5",
+       route_stream(qft_logical(20), make_grid(4, 5), with_ext(1)),
+       {0x8c0bb5ba714d602aull, 0x7c954b3ba08f5e9dull,
+        0x1e4b91e1c346ac01ull, 190}},
+      {"ext2/qft20/heavy_hex20",
+       route_stream(qft_logical(20), make_heavy_hex(heavy_hex_layout(20)),
+                    with_ext(2)),
+       {0x94fbcdea8d103418ull, 0x541efed9b53edd59ull,
+        0xed16af585e10c4e3ull, 276}},
+      {"ext64/qft24/line24",
+       route_stream(qft_logical(24), make_line(24), with_ext(64)),
+       {0x9d00557d69ec1319ull, 0xd2503020d3558497ull,
+        0x619d8f17e3c0573dull, 494}},
+      {"brickwork20/grid4x5", route_stream(brick, make_grid(4, 5), two),
+       {0xe5e2d1d7f52dbdfeull, 0xea757ed11dff6ae5ull,
+        0xb14b878807ef4459ull, 13}},
+      {"relaxed/qft20/grid4x5",
+       route_stream(qft_logical(20), make_grid(4, 5), relaxed),
+       {0xdb20f84c3a0fb9f2ull, 0xfa66db6334c1297bull,
+        0xfb4502a6014f1761ull, 97}},
+      {"random20/grid6x6", route_stream(sparse, make_grid(6, 6), two),
+       {0x3f5ac9da0b4766f5ull, 0x860d4b357e69c7d6ull,
+        0x9a62b6dd202c7a50ull, 131}},
+      {"qft20/lattice_full5",
+       route_stream(qft_logical(20), make_lattice_surgery_full(5), two),
+       {0xdd406c93fa25c458ull, 0xfe801b8a9008487full,
+        0xa5a4141ea044d48dull, 72}},
+      {"steered/random30/device30",
+       route_stream(dev_circuit, g_a, steered(dev_a)),
+       {0x75a4a07ca06c3ba4ull, 0x5116b09bd6424a3eull,
+        0x7d72eb6f76344152ull, 218}},
+      {"steered/qft20/device24",
+       route_stream(qft_logical(20), g_b, steered(dev_b)),
+       {0x0c13facb7e86fdf4ull, 0x68f5614dd03b592cull,
+        0xb19d67b3c7d4a81eull, 181}},
+  };
+  for (const auto& row : rows) EXPECT_EQ(row.got, row.want) << row.name;
+}
+
 TEST(SabreGolden, SwapCapCircuitStillThrows) {
   // The known divergence: an 18-qubit, 35-CNOT circuit (splitmix64 generator
   // seed 1728, drawn as perfbench's swap-cap probe draws it under GCC, which

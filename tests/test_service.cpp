@@ -250,6 +250,21 @@ TEST(Service, CacheHitZeroesSabreStats) {
   EXPECT_EQ(warm.timings().sabre.blocked_steps, 0);
 }
 
+TEST(Service, CachedRoutedResultsCarryNoGrowthSlack) {
+  // A routed circuit grows by doubling; the cache holds it trimmed, so
+  // cache.gate_bytes (size x sizeof(Gate)) is what the entry occupies.
+  MappingService service{service_options(1)};
+  MapOptions opts;
+  opts.sabre.trials = 1;
+  ASSERT_TRUE(service.submit({"sabre", 16, opts}).wait().ok());
+  const JobResult hit = service.submit({"sabre", 16, opts}).wait();
+  ASSERT_TRUE(hit.ok()) << hit.error;
+  EXPECT_TRUE(hit.cache_hit);
+  const Circuit& c = hit.result->mapped.circuit;
+  EXPECT_EQ(c.capacity(), c.size());
+  EXPECT_EQ(service.cache_stats().gate_bytes, c.capacity() * sizeof(Gate));
+}
+
 TEST(Service, CacheHitIsBitIdenticalWithZeroMapTime) {
   MappingService service{service_options(2)};
   const JobResult cold = service.submit({"lattice", 10, MapOptions{}}).wait();
