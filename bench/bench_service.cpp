@@ -14,9 +14,8 @@
 //                                on a cold cache; avg_queue_us reports the
 //                                mean time a job sat queued before a worker
 //                                picked it up.
-//   batch_via_service/n        — map_qft_batch riding the shared persistent
-//                                pool (the pre-service number spawned and
-//                                joined a fresh thread pool per call).
+//   batch_map_qft/n            — map_qft_batch on its per-call worker pool:
+//                                full circuits, no service and no cache.
 //   socket_mixed_load/clients  — sustained req/s through the TCP front-end:
 //                                N concurrent socket clients pushing a mixed
 //                                QFT + general-QASM (sabre) stream through
@@ -116,7 +115,7 @@ void service_queue_mixed(benchmark::State& state) {
       jobs == 0 ? 0.0 : 1e6 * queue_seconds_total / static_cast<double>(jobs);
 }
 
-void batch_via_service(benchmark::State& state) {
+void batch_map_qft(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   std::vector<BatchRequest> requests;
   for (const char* engine : {"lnn", "heavy_hex", "sycamore", "lattice"}) {
@@ -126,14 +125,7 @@ void batch_via_service(benchmark::State& state) {
     req.options.verify = true;
     requests.push_back(std::move(req));
   }
-  std::uint64_t round = 0;
   for (auto _ : state) {
-    // Bust the shared service's cache each iteration (the sabre seed is in
-    // the option fingerprint but ignored by the analytical mappers), so
-    // this measures full batch map+verify throughput, not cache probes —
-    // service_cached already covers the hit path.
-    ++round;
-    for (BatchRequest& req : requests) req.options.sabre.seed = round;
     const auto items = map_qft_batch(requests);
     for (const BatchItem& item : items) {
       if (!item.ok) {
@@ -295,7 +287,7 @@ void socket_retry_under_shed(benchmark::State& state) {
 }
 
 BENCHMARK(service_queue_mixed)->UseRealTime();
-BENCHMARK(batch_via_service)->Arg(100)->Arg(256)->UseRealTime();
+BENCHMARK(batch_map_qft)->Arg(100)->Arg(256)->UseRealTime();
 BENCHMARK(socket_mixed_load)->Arg(4)->Arg(8)->UseRealTime();
 BENCHMARK(socket_retry_under_shed)->Arg(4)->Arg(8)->UseRealTime();
 

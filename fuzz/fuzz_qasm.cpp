@@ -1,13 +1,12 @@
 // libFuzzer harness over the OpenQASM ingestion surface — the ROADMAP's
 // "QASM round-trip fuzzing" item. Properties enforced on every input:
-//   1. from_qasm / mapped_from_qasm never escape any exception other than
+//   1. from_qasm never escapes any exception other than
 //      the documented std::invalid_argument (oversized literals, lone signs
 //      and trailing garbage once leaked raw std::out_of_range /
 //      std::invalid_argument out of std::stoll/std::stod — exactly the
 //      defect class this harness exists to catch);
 //   2. anything that parses round-trips exactly: to_qasm of the parsed
-//      circuit reparses gate-for-gate (and mapping-for-mapping through the
-//      mapped header comments).
+//      circuit reparses gate-for-gate.
 //
 // Build modes:
 //   * QFTO_FUZZ=ON (clang): linked against libFuzzer (-fsanitize=fuzzer),
@@ -53,22 +52,6 @@ void check_round_trip(const qfto::Circuit& c) {
   }
 }
 
-void check_mapped_round_trip(const qfto::MappedCircuit& mc) {
-  qfto::MappedCircuit back;
-  try {
-    back = qfto::mapped_from_qasm(qfto::to_qasm(mc));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fuzz_qasm: mapped reparse threw: %s\n", e.what());
-    violate("emitted text of a parsed mapped circuit failed to reparse");
-  }
-  if (back.initial != mc.initial || back.final_mapping != mc.final_mapping) {
-    violate("round trip changed a mapping header");
-  }
-  if (back.circuit.size() != mc.circuit.size()) {
-    violate("mapped round trip changed circuit shape");
-  }
-}
-
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -83,15 +66,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // The one documented failure mode: positioned parse error.
   }
   if (parsed) check_round_trip(circuit);
-
-  bool mapped_parsed = false;
-  qfto::MappedCircuit mapped;
-  try {
-    mapped = qfto::mapped_from_qasm(text);
-    mapped_parsed = true;
-  } catch (const std::invalid_argument&) {
-  }
-  if (mapped_parsed) check_mapped_round_trip(mapped);
   return 0;
 }
 

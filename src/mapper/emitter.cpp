@@ -13,7 +13,8 @@ LayerEmitter::LayerEmitter(const CouplingGraph& graph,
       tracker_(initial_, graph.num_qubits()),
       state_(state),
       busy_layer_(graph.num_qubits(), -1),
-      audit_(audit) {
+      audit_(audit),
+      store_gates_(audit == nullptr || audit->store_gates) {
   require(static_cast<std::int32_t>(initial_.size()) == state.n(),
           "LayerEmitter: mapping size must equal QftState size");
   // CPHASE angles depend only on the logical gap; resolve them once.

@@ -1,70 +1,57 @@
 #include "pipeline/batch.hpp"
 
 #include <algorithm>
-#include <optional>
-
-#include "service/mapping_service.hpp"
+#include <atomic>
+#include <exception>
+#include <thread>
 
 namespace qfto {
+
+namespace {
+
+void run_item(const BatchRequest& req, const MapperPipeline& pipeline,
+              BatchItem& item) {
+  try {
+    if (req.circuit == nullptr) {
+      item.result = pipeline.run(req.engine, req.n, req.options);
+    } else {
+      require(req.n == 0 || req.n == req.circuit->num_qubits(),
+              "BatchRequest: n does not match the supplied circuit");
+      item.result = pipeline.run_circuit(req.engine, *req.circuit,
+                                         req.options);
+    }
+    item.ok = true;
+  } catch (const std::exception& e) {
+    item.error = e.what();
+  } catch (...) {
+    item.error = "unknown error";
+  }
+}
+
+}  // namespace
 
 std::vector<BatchItem> map_qft_batch(const std::vector<BatchRequest>& requests,
                                      std::int32_t num_threads,
                                      const MapperPipeline& pipeline) {
   std::vector<BatchItem> items(requests.size());
-  if (requests.empty()) return items;
+  std::size_t workers =
+      num_threads > 0 ? static_cast<std::size_t>(num_threads)
+                      : std::max(1u, std::thread::hardware_concurrency());
+  workers = std::min(workers, requests.size());
 
-  // The shared service owns the persistent worker pool — no per-call thread
-  // spawn/join. A caller-supplied registry cannot ride that pool (it is
-  // bound to the global pipeline), so it gets a service scoped to the call:
-  // same code path, private workers.
-  std::optional<MappingService> local;
-  MappingService* service;
-  if (&pipeline == &MapperPipeline::global()) {
-    service = &MappingService::shared();
-  } else {
-    MappingService::Options options;
-    options.num_threads = num_threads;
-    local.emplace(options, pipeline);
-    service = &*local;
-  }
-
-  // `num_threads` keeps its historic meaning as the concurrency bound: at
-  // most that many requests are in flight at once (windowed submission over
-  // the pool). Collection order is request order, which also makes the
-  // oldest handle the natural one to wait on.
-  const std::size_t window =
-      num_threads <= 0 ? requests.size()
-                       : static_cast<std::size_t>(num_threads);
-  std::vector<JobHandle> handles(requests.size());
-  std::size_t submitted = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    while (submitted < requests.size() && submitted - i < window) {
-      handles[submitted] = service->submit(requests[submitted]);
-      ++submitted;
+  // Workers claim requests in order from a shared counter; each writes only
+  // its own items.
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < requests.size();) {
+      run_item(requests[i], pipeline, items[i]);
     }
-    JobResult outcome = handles[i].wait();
-    if (outcome.ok()) {
-      items[i].ok = true;
-      items[i].cache_hit = outcome.cache_hit;
-      // A result the cache holds (every hit, and a cacheable miss) is shared
-      // and must be copied out. An uncached miss is owned solely by this
-      // batch's private job: the only two references are `outcome.result`
-      // and the job state behind our local handle, so moving out skips a
-      // potentially multi-megabyte deep copy per item.
-      if (!outcome.cache_hit && outcome.result.use_count() == 2) {
-        items[i].result =
-            std::move(const_cast<MapResult&>(*outcome.result));
-      } else {
-        items[i].result = *outcome.result;
-        items[i].result.requested_n = outcome.requested_n;
-        items[i].result.timings = outcome.timings();
-      }
-    } else {
-      // Engine failures were exceptions in the thread-pool era; the service
-      // captures them per job, so the error text flows through unchanged.
-      items[i].error = outcome.error.empty() ? "unknown error" : outcome.error;
-    }
-  }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(work);
+  if (workers > 0) work();  // the calling thread is the first worker
+  for (std::thread& t : pool) t.join();
   return items;
 }
 

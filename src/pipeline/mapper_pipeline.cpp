@@ -159,6 +159,21 @@ void fill_fidelity(MapResult& result, const MapOptions& opts) {
 
 MapResult MapperPipeline::run(const std::string& engine_name, std::int32_t n,
                               const MapOptions& opts) const {
+  return run_qft(engine_name, n, opts, /*store_gates=*/true);
+}
+
+MapSummary MapperPipeline::summarize(const std::string& engine_name,
+                                     std::int32_t n,
+                                     const MapOptions& opts) const {
+  // The calibrated fidelity walk reads the gates, so a device run keeps them.
+  return run_qft(engine_name, n, opts,
+                 /*store_gates=*/opts.device != nullptr)
+      .summary();
+}
+
+MapResult MapperPipeline::run_qft(const std::string& engine_name,
+                                  std::int32_t n, const MapOptions& opts,
+                                  bool store_gates) const {
   require(n >= 1, "MapperPipeline::run: n >= 1");
   // Sane ceiling: keeps native-size arithmetic (rounding up to squares /
   // multiples of five) comfortably inside int32 on hostile CLI input.
@@ -173,16 +188,21 @@ MapResult MapperPipeline::run(const std::string& engine_name, std::int32_t n,
   result.n = engine.native_size(n);
   live.ensure("graph build");
   result.graph = engine.build_graph(result.n, opts);
+  result.physical = result.graph.num_qubits();
   live.ensure("map");
 
   // With verify on, the engine gets an audit sink so a structured emitter
   // verifies while it emits. Engines that bypass LayerEmitter (the routed
   // baselines) never engage it, and check_qft_mapping picks up the check.
+  // Summary mode rides the same sink, so it is installed then too; with
+  // verify off its verdict is dropped.
   verify::EmitAudit audit;
-  if (opts.verify) audit.model = resolved_latency(engine, opts, result.graph);
+  audit.store_gates = store_gates;
+  const bool audited = opts.verify || !store_gates;
+  if (audited) audit.model = resolved_latency(engine, opts, result.graph);
 
   timed_map_stage(result, opts, [&](MapOptions map_opts) {
-    if (opts.verify) map_opts.audit = &audit;
+    if (audited) map_opts.audit = &audit;
     return engine.map(result.n, result.graph, map_opts);
   });
   live.ensure("verify");
@@ -221,7 +241,8 @@ MapResult MapperPipeline::run_circuit(const std::string& engine_name,
   result.n = n;
   live.ensure("graph build");
   result.graph = engine.build_graph(engine.native_size(n), opts);
-  require(result.graph.num_qubits() >= n,
+  result.physical = result.graph.num_qubits();
+  require(result.physical >= n,
           "MapperPipeline::run_circuit: engine graph smaller than the "
           "circuit");
   live.ensure("map");

@@ -7,6 +7,10 @@
 //   r.check      — static-checker verdict, depth (native latency) and counts
 //   r.timings    — wall-clock split between mapping and verification
 //
+// MapperPipeline::summarize answers the same request with a MapSummary —
+// sizes, verdict, fidelity and timings, no gates — which is all a serve
+// response carries. The structured mappers then store no gate at all.
+//
 // Engines snap the requested size up to the nearest native size (e.g.
 // `sycamore` maps n=30 on the m=6 grid, N=36) and report both numbers.
 // Structured mappers own their topology; the routed baselines (`sabre`,
@@ -127,19 +131,29 @@ struct MapTimings {
   double total_seconds() const { return map_seconds + check_seconds; }
 };
 
-struct MapResult {
+/// What a run found, without the circuit: a few hundred bytes at any n.
+/// This is what the MappingService serves and its ResultCache holds.
+struct MapSummary {
   std::string engine;
   std::int32_t requested_n = 0;  // size the caller asked for
   std::int32_t n = 0;            // engine-native size actually mapped
-  MappedCircuit mapped;
-  CouplingGraph graph;   // coupling graph `mapped` is valid on
-  QftCheckResult check;  // empty unless MapOptions::verify
+  std::int32_t physical = 0;     // qubits of the coupling graph
+  QftCheckResult check;          // empty unless MapOptions::verify
   MapTimings timings;
   /// log10 of the estimated success probability (verify/fidelity.hpp),
   /// filled whenever verification passed: per-edge calibrated when the run
   /// carried a DeviceModel, the closed-form NoiseModel estimate otherwise.
   /// Always <= 0; higher is better.
   double log10_fidelity = 0.0;
+};
+
+/// A full run: the summary plus the hardware circuit and its graph
+/// (`physical` == graph.num_qubits()).
+struct MapResult : MapSummary {
+  MappedCircuit mapped;
+  CouplingGraph graph;  // coupling graph `mapped` is valid on
+
+  MapSummary summary() const { return *this; }
 };
 
 /// One mapping engine behind the facade. Implementations are stateless and
@@ -229,6 +243,13 @@ class MapperPipeline {
   MapResult run(const std::string& engine, std::int32_t n,
                 const MapOptions& opts = {}) const;
 
+  /// run(engine, n, opts).summary(), through the same stages, except that
+  /// the structured mappers emit in summary mode and store no gate. Routed
+  /// engines, and any run on a DeviceModel (its calibrated fidelity walks
+  /// the gates), materialize, verify and summarize as run() does.
+  MapSummary summarize(const std::string& engine, std::int32_t n,
+                       const MapOptions& opts = {}) const;
+
   /// General-circuit pipeline: build the engine's native graph (snapped to
   /// fit the circuit), route the supplied circuit onto it, and verify with
   /// the general checker (verify/circuit_checker.hpp) under the engine's
@@ -242,6 +263,9 @@ class MapperPipeline {
                         const MapOptions& opts = {}) const;
 
  private:
+  MapResult run_qft(const std::string& engine, std::int32_t n,
+                    const MapOptions& opts, bool store_gates) const;
+
   std::map<std::string, std::unique_ptr<const MapperEngine>> engines_;
 };
 

@@ -265,102 +265,4 @@ Circuit from_qasm(const std::string& text) {
   return c;
 }
 
-namespace {
-
-/// Parses the `l->p l->p ...` pair list of one mapping header comment.
-/// `line_no` positions errors at the comment's own line.
-std::vector<PhysicalQubit> parse_mapping_pairs(const std::string& pairs,
-                                               std::int32_t line_no) {
-  Parser p{pairs};
-  p.line = line_no;
-  std::vector<PhysicalQubit> mapping;
-  while (!p.done()) {
-    const std::int64_t logical = p.integer();
-    p.expect("->");
-    const std::int64_t physical = p.integer();
-    if (logical != static_cast<std::int64_t>(mapping.size())) {
-      p.fail("mapping comment entries must be sequential from 0");
-    }
-    if (physical < 0 || physical > (1 << 20)) {
-      p.fail("mapping comment physical index out of range");
-    }
-    mapping.push_back(static_cast<PhysicalQubit>(physical));
-  }
-  if (mapping.empty()) p.fail("empty mapping comment");
-  return mapping;
-}
-
-}  // namespace
-
-MappedCircuit mapped_from_qasm(const std::string& text) {
-  // Scan the leading comment block (the only place to_qasm(MappedCircuit)
-  // writes the mapping headers) before handing the body to from_qasm, which
-  // treats comments as whitespace.
-  std::vector<PhysicalQubit> initial, final_mapping;
-  std::size_t pos = 0;
-  std::int32_t line_no = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    ++line_no;
-    std::size_t begin = pos;
-    while (begin < eol &&
-           std::isspace(static_cast<unsigned char>(text[begin]))) {
-      ++begin;
-    }
-    pos = eol + 1;
-    if (begin == eol) continue;  // blank line
-    if (text.compare(begin, 2, "//") != 0) break;  // comment block ends
-    const std::string comment = text.substr(begin + 2, eol - begin - 2);
-    const bool is_initial =
-        comment.find("initial mapping") != std::string::npos;
-    const bool is_final = comment.find("final mapping") != std::string::npos;
-    if (!is_initial && !is_final) continue;
-    const std::size_t colon = comment.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument("qasm parse error at line " +
-                                  std::to_string(line_no) +
-                                  ": mapping comment missing ':'");
-    }
-    auto& target = is_initial ? initial : final_mapping;
-    if (!target.empty()) {
-      throw std::invalid_argument("qasm parse error at line " +
-                                  std::to_string(line_no) +
-                                  ": duplicate mapping comment");
-    }
-    target = parse_mapping_pairs(comment.substr(colon + 1), line_no);
-  }
-
-  MappedCircuit mc;
-  mc.circuit = from_qasm(text);
-  const auto n = static_cast<std::size_t>(mc.circuit.num_qubits());
-  if (initial.empty() != final_mapping.empty()) {
-    throw std::invalid_argument(
-        "qasm parse error: mapped circuit needs both initial and final "
-        "mapping comments (or neither)");
-  }
-  if (initial.empty()) {
-    // No header: a plain kernel file maps every wire to itself.
-    initial.resize(n);
-    final_mapping.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      initial[i] = final_mapping[i] = static_cast<PhysicalQubit>(i);
-    }
-  }
-  if (initial.size() != final_mapping.size()) {
-    throw std::invalid_argument(
-        "qasm parse error: initial and final mapping comments disagree on "
-        "the number of logical qubits");
-  }
-  if (!valid_mapping(initial, mc.circuit.num_qubits()) ||
-      !valid_mapping(final_mapping, mc.circuit.num_qubits())) {
-    throw std::invalid_argument(
-        "qasm parse error: mapping comment is not an injection into the "
-        "register");
-  }
-  mc.initial = std::move(initial);
-  mc.final_mapping = std::move(final_mapping);
-  return mc;
-}
-
 }  // namespace qfto

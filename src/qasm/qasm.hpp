@@ -25,12 +25,4 @@ std::string to_qasm(const MappedCircuit& mc);
 /// escape with, on any byte sequence (enforced by the fuzz harness).
 Circuit from_qasm(const std::string& text);
 
-/// from_qasm plus the `// initial/final mapping` header comments
-/// to_qasm(MappedCircuit) writes, making the pair a true round trip. A file
-/// without mapping comments parses as an identity-mapped kernel; a file with
-/// exactly one of the two comments, non-sequential entries, or a
-/// non-injective mapping is rejected (std::invalid_argument, like
-/// from_qasm).
-MappedCircuit mapped_from_qasm(const std::string& text);
-
 }  // namespace qfto

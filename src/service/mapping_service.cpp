@@ -30,7 +30,7 @@ struct JobState {
   std::condition_variable cv;
   JobStatus status = JobStatus::kQueued;
   std::string error;
-  std::shared_ptr<const MapResult> result;
+  std::shared_ptr<const MapSummary> result;
   bool cache_hit = false;
   double queue_seconds = 0.0;
   std::int64_t dispatch_index = -1;
@@ -128,7 +128,7 @@ JobResult snapshot_locked(const JobState& s) {
 /// and whichever loses must not overwrite the published outcome (waiters may
 /// already have read it). Returns false when the job was already terminal.
 bool finish(JobState& s, JobStatus status, std::string error,
-            std::shared_ptr<const MapResult> result, bool cache_hit = false) {
+            std::shared_ptr<const MapSummary> result, bool cache_hit = false) {
   std::lock_guard<std::mutex> lock(s.mutex);
   if (terminal(s.status)) return false;
   s.status = status;
@@ -201,8 +201,8 @@ void process(ServiceCore& core, const std::shared_ptr<JobState>& job) {
         key = ResultCache::key(req.engine, engine->native_size(req.n),
                                req.options, req.circuit.get());
         if (auto cached = core.cache.get(key)) {
-          // A hit shares the immutable cached object, never a copy of its
-          // gates; the job's own size and zero timings ride on JobResult.
+          // A hit shares the immutable cached summary; the job's own size
+          // and zero timings ride on JobResult.
           finish(*job, JobStatus::kDone, {}, std::move(cached),
                  /*cache_hit=*/true);
           return;
@@ -242,16 +242,13 @@ void process(ServiceCore& core, const std::shared_ptr<JobState>& job) {
       // catch (...) path end to end.
       throw 42;
     }
-    MapResult result =
+    // A general circuit is routed, so its gates exist until summarized; a
+    // QFT job on a structured mapper never stores one.
+    auto shared = std::make_shared<const MapSummary>(
         req.circuit != nullptr
             ? core.pipeline->run_circuit(req.engine, *req.circuit, run_opts)
-            : core.pipeline->run(req.engine, req.n, run_opts);
-    // Allocated non-const (then viewed as const) so a sole-owner consumer
-    // like map_qft_batch may legally move the payload out.
-    std::shared_ptr<const MapResult> shared =
-        std::make_shared<MapResult>(std::move(result));
-    // The cache holds the object this job returns: one resident copy of
-    // the gates per cached result.
+                  .summary()
+            : core.pipeline->summarize(req.engine, req.n, run_opts));
     if (!key.empty()) core.cache.put(key, shared);
     finish(*job, JobStatus::kDone, {}, std::move(shared));
   } catch (const MapCancelled& e) {
@@ -627,10 +624,5 @@ std::size_t MappingService::running_count() const {
 }
 
 ResultCache& MappingService::cache() { return core_->cache; }
-
-MappingService& MappingService::shared() {
-  static MappingService service{Options{}};
-  return service;
-}
 
 }  // namespace qfto

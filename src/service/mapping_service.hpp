@@ -3,8 +3,10 @@
 // front of the MapperPipeline registry: submit() returns a JobHandle
 // supporting wait / try_get / cancel and per-job deadlines, and a sharded
 // LRU ResultCache serves repeated deterministic requests bit-identically at
-// zero cost. map_qft_batch and the `qftmap --serve` front-end are thin
-// drivers over this class.
+// zero cost. Jobs produce MapSummary values, not circuits: QFT jobs run
+// MapperPipeline::summarize, so a structured mapper stores no gate, and a
+// cache entry is a few hundred bytes at any n. The `qftmap --serve`
+// front-end is a thin layer over this class.
 //
 // Deadlines are enforced twice. Cooperatively: the job's cancel token and
 // remaining-budget clamp make well-behaved engines abort on their own.
@@ -48,11 +50,11 @@ enum class JobStatus {
 struct JobResult {
   JobStatus status = JobStatus::kFailed;
   std::string error;  // empty iff kDone
-  /// The mapped result. Null unless kDone. A cacheable request's result is
-  /// the very object the ResultCache holds, so every hit on its key shares
-  /// it: its requested_n and timings belong to the cold request that
-  /// produced it. The fields below and timings() describe this job.
-  std::shared_ptr<const MapResult> result;
+  /// The mapping's summary. Null unless kDone. A cacheable request's
+  /// summary is the very object the ResultCache holds, so every hit on its
+  /// key shares it: its requested_n and timings belong to the cold request
+  /// that produced it. The fields below and timings() describe this job.
+  std::shared_ptr<const MapSummary> result;
   /// True when the service answered from its ResultCache (no work done).
   bool cache_hit = false;
   /// The size this job asked for; a hit may have snapped to a cached entry
@@ -179,10 +181,6 @@ class MappingService {
   /// is overridden by the job's own token — use JobHandle::cancel().
   JobHandle submit(BatchRequest request, Submit submit);
   JobHandle submit(BatchRequest request);
-
-  /// Process-wide service over MapperPipeline::global() with hardware
-  /// concurrency — the persistent pool behind map_qft_batch.
-  static MappingService& shared();
 
   /// Configured pool capacity. Replacement keeps this invariant: a wedged
   /// worker's detachment is paired with a fresh spawn, so num_threads() is

@@ -16,7 +16,6 @@
 
 #include "arch/device_model.hpp"
 #include "common/fault.hpp"
-#include "qasm/qasm.hpp"
 
 namespace qfto {
 
@@ -122,16 +121,11 @@ bool ResultCache::cacheable(const MapperEngine& engine,
          opts.sabre.device == nullptr;
 }
 
-std::uint64_t ResultCache::gate_bytes(const MapResult& result) {
-  return static_cast<std::uint64_t>(result.mapped.circuit.size()) *
-         sizeof(Gate);
-}
-
 ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-std::shared_ptr<const MapResult> ResultCache::get(const std::string& key) {
+std::shared_ptr<const MapSummary> ResultCache::get(const std::string& key) {
   if (capacity_ == 0) return nullptr;
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mutex);
@@ -148,7 +142,6 @@ std::shared_ptr<const MapResult> ResultCache::get(const std::string& key) {
                            it->second->inserted)
                            .count();
     if (age > ttl_seconds_) {
-      s.gate_bytes -= gate_bytes(*it->second->value);
       s.lru.erase(it->second);
       s.index.erase(it);
       ++s.expired;
@@ -162,26 +155,22 @@ std::shared_ptr<const MapResult> ResultCache::get(const std::string& key) {
 }
 
 void ResultCache::put(const std::string& key,
-                      std::shared_ptr<const MapResult> value) {
+                      std::shared_ptr<const MapSummary> value) {
   if (capacity_ == 0 || value == nullptr) return;
   const auto now = std::chrono::steady_clock::now();
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.index.find(key);
   if (it != s.index.end()) {
-    s.gate_bytes += gate_bytes(*value);
-    s.gate_bytes -= gate_bytes(*it->second->value);
     it->second->value = std::move(value);
     it->second->inserted = now;  // a refresh restarts the TTL clock
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     return;
   }
-  s.gate_bytes += gate_bytes(*value);
   s.lru.push_front(Entry{key, std::move(value), now});
   s.index.emplace(key, s.lru.begin());
   ++s.insertions;
   while (s.lru.size() > s.capacity) {
-    s.gate_bytes -= gate_bytes(*s.lru.back().value);
     s.index.erase(s.lru.back().key);
     s.lru.pop_back();
     ++s.evictions;
@@ -193,7 +182,6 @@ void ResultCache::clear() {
     std::lock_guard<std::mutex> lock(sp->mutex);
     sp->lru.clear();
     sp->index.clear();
-    sp->gate_bytes = 0;
   }
 }
 
@@ -209,19 +197,18 @@ ResultCache::Stats ResultCache::stats() const {
     total.evictions += sp->evictions;
     total.expired += sp->expired;
     total.entries += sp->lru.size();
-    total.gate_bytes += sp->gate_bytes;
   }
   return total;
 }
 
 // ------------------------------------------------------------ persistence --
 // Line-oriented text format, one record per resident entry. Every
-// variable-length field is length-prefixed (keys and QASM bodies may contain
-// anything), and the MapResult payload rides as to_qasm(mapped) — %.17g
-// angles make that round trip exact, so a reloaded entry is bit-identical
-// to the one saved. Timings and requested_n describe one request, not the
-// mapping (a hit reports its own on JobResult), so only the identity fields,
-// the graph, the check report and the circuit need to survive.
+// variable-length field is length-prefixed (keys and error texts may contain
+// anything), and the fidelity is written %.17g, so a reloaded entry is
+// bit-identical to the one saved. Timings and requested_n describe one
+// request, not the mapping (a hit reports its own on JobResult), so only the
+// identity fields, the register size, the check report and the fidelity need
+// to survive.
 
 namespace {
 
@@ -229,10 +216,12 @@ namespace {
 // Version 3 dropped the characters of retired SATMAP search options from
 // every ResultCache::key (not only SATMAP keys), so no request can hit a v2
 // entry any more; loading one would only hold LRU capacity. Version 4 dropped
-// the verify-strategy character after "|verify=" for the same reason. An
-// older file fails the magic check and the service starts cold — acceptable
-// for a cache, never silently wrong.
-constexpr const char* kCacheMagic = "qftmap-cache 4";
+// the verify-strategy character after "|verify=" for the same reason.
+// Version 5 holds summaries: the QASM blob and the graph's edge list gave
+// way to the register size ("physical"). An older file fails the magic
+// check and the service starts cold — acceptable for a cache, never
+// silently wrong.
+constexpr const char* kCacheMagic = "qftmap-cache 5";
 
 void write_blob(std::ostream& out, const char* tag, const std::string& bytes) {
   out << tag << ' ' << bytes.size() << '\n' << bytes << '\n';
@@ -267,9 +256,8 @@ bool read_blob(std::istream& in, std::size_t len, std::string& bytes,
 bool ResultCache::save(std::ostream& out) const {
   out << kCacheMagic << '\n';
   for (const auto& sp : shards_) {
-    // Snapshot under the lock (shared_ptr copies), serialize outside it —
-    // QASM emission of a large circuit must not stall concurrent workers.
-    std::vector<std::pair<std::string, std::shared_ptr<const MapResult>>>
+    // Snapshot under the lock (shared_ptr copies), serialize outside it.
+    std::vector<std::pair<std::string, std::shared_ptr<const MapSummary>>>
         entries;
     {
       std::lock_guard<std::mutex> lock(sp->mutex);
@@ -281,7 +269,7 @@ bool ResultCache::save(std::ostream& out) const {
       }
     }
     for (const auto& [key, result] : entries) {
-      const MapResult& r = *result;
+      const MapSummary& r = *result;
       if (QFTO_FAULT_POINT("cache.save.write")) {
         // Injected mid-save stream failure: the half-written output must be
         // reported failed, and save_file must leave the target untouched.
@@ -292,17 +280,7 @@ bool ResultCache::save(std::ostream& out) const {
       write_blob(out, "key", key);
       write_blob(out, "engine", r.engine);
       out << "n " << r.n << '\n';
-      out << "graph " << r.graph.num_qubits() << ' ' << r.graph.num_edges()
-          << ' ' << r.graph.name().size() << '\n'
-          << r.graph.name() << '\n';
-      for (std::int32_t a = 0; a < r.graph.num_qubits(); ++a) {
-        for (const PhysicalQubit b : r.graph.neighbors(a)) {
-          if (b <= a) continue;  // undirected: emit each edge once
-          const auto type = r.graph.link_type(a, b);
-          out << "e " << a << ' ' << b << ' '
-              << static_cast<int>(type.value_or(LinkType::kStandard)) << '\n';
-        }
-      }
+      out << "physical " << r.physical << '\n';
       out << "check " << (r.check.ok ? 1 : 0) << ' ' << r.check.depth << ' '
           << r.check.counts.h << ' ' << r.check.counts.x << ' '
           << r.check.counts.rz << ' ' << r.check.counts.cphase << ' '
@@ -314,7 +292,6 @@ bool ResultCache::save(std::ostream& out) const {
         std::snprintf(fid, sizeof(fid), "%.17g", r.log10_fidelity);
         out << "fid " << fid << '\n';
       }
-      write_blob(out, "qasm", to_qasm(r.mapped));
       out << "end\n";
     }
   }
@@ -327,12 +304,12 @@ namespace {
 /// stream is left wherever parsing stopped and the caller resynchronizes.
 struct ParsedCacheEntry {
   std::string key;
-  std::shared_ptr<MapResult> result;
+  std::shared_ptr<MapSummary> result;
 };
 
 bool parse_cache_entry(std::istream& in, ParsedCacheEntry& out,
                        std::string& reason) {
-  std::string scratch, line;
+  std::string line;
   const auto fail = [&](const std::string& what) {
     reason = what;
     return false;
@@ -359,34 +336,12 @@ bool parse_cache_entry(std::istream& in, ParsedCacheEntry& out,
       n > 16'777'216) {
     return fail("bad n");
   }
-  // graph
-  long long qubits = 0, edges = 0;
-  std::size_t name_len = 0;
-  if (!read_line(in, line, err, "graph")) return fail(err);
-  if (std::sscanf(line.c_str(), "graph %lld %lld %zu", &qubits, &edges,
-                  &name_len) != 3 ||
-      qubits < 0 || qubits > 16'777'216 || edges < 0) {
-    return fail("bad graph header");
-  }
-  std::string graph_name;
-  if (!read_blob(in, name_len, graph_name, err, "graph name")) {
-    return fail(err);
-  }
-  CouplingGraph graph(graph_name, static_cast<std::int32_t>(qubits));
-  for (long long i = 0; i < edges; ++i) {
-    long long a = 0, b = 0;
-    int type = 0;
-    if (!read_line(in, line, err, "edge")) return fail(err);
-    if (std::sscanf(line.c_str(), "e %lld %lld %d", &a, &b, &type) != 3 ||
-        a < 0 || b < 0 || a >= qubits || b >= qubits || a == b ||
-        type < 0 || static_cast<std::size_t>(type) >= kLinkTypeCount ||
-        graph.adjacent(static_cast<PhysicalQubit>(a),
-                       static_cast<PhysicalQubit>(b))) {
-      return fail("bad edge");
-    }
-    graph.add_edge(static_cast<PhysicalQubit>(a),
-                   static_cast<PhysicalQubit>(b),
-                   static_cast<LinkType>(type));
+  // register size
+  long long physical = 0;
+  if (!read_line(in, line, err, "physical")) return fail(err);
+  if (std::sscanf(line.c_str(), "physical %lld", &physical) != 1 ||
+      physical < n || physical > kMaxQubits) {
+    return fail("bad physical");
   }
   // check report
   int check_ok = 0;
@@ -410,25 +365,14 @@ bool parse_cache_entry(std::istream& in, ParsedCacheEntry& out,
       std::isnan(fid)) {
     return fail("bad fid");
   }
-  // qasm payload
-  if (!read_line(in, line, err, "qasm")) return fail(err);
-  if (std::sscanf(line.c_str(), "qasm %zu", &len) != 1) {
-    return fail("bad qasm header");
-  }
-  if (!read_blob(in, len, scratch, err, "qasm")) return fail(err);
   if (!read_line(in, line, err, "end")) return fail(err);
   if (line != "end") return fail("expected \"end\"");
 
-  auto result = std::make_shared<MapResult>();
+  auto result = std::make_shared<MapSummary>();
   result->engine = std::move(engine);
   result->requested_n = static_cast<std::int32_t>(n);
   result->n = static_cast<std::int32_t>(n);
-  try {
-    result->mapped = mapped_from_qasm(scratch);
-  } catch (const std::invalid_argument& e) {
-    return fail(std::string("bad qasm payload: ") + e.what());
-  }
-  result->graph = std::move(graph);
+  result->physical = static_cast<std::int32_t>(physical);
   result->check.ok = check_ok != 0;
   result->check.error = std::move(check_error);
   result->check.depth = static_cast<Cycle>(depth);

@@ -1,9 +1,11 @@
-// Sharded LRU cache of MapResults — the ROADMAP's "result caching /
+// Sharded LRU cache of MapSummary values — the ROADMAP's "result caching /
 // memoization" item. The analytical mappers are deterministic, so a repeated
 // (engine, native n, option fingerprint) request can be served bit-identically
 // at zero cost; the MappingService consults this cache before dispatching a
-// job to the worker pool. Shards each carry their own mutex so concurrent
-// workers on different keys never contend on one lock.
+// job to the worker pool. An entry holds sizes, the verdict and the fidelity
+// estimate, never gates, so it costs a few hundred bytes at any n. Shards
+// each carry their own mutex so concurrent workers on different keys never
+// contend on one lock.
 #pragma once
 
 #include <atomic>
@@ -51,12 +53,12 @@ class ResultCache {
   /// key, so identical shapes with different calibration never collide.
   static bool cacheable(const MapperEngine& engine, const MapOptions& opts);
 
-  /// Hit: the cached result, promoted to most-recently-used. Miss: nullptr.
-  std::shared_ptr<const MapResult> get(const std::string& key);
+  /// Hit: the cached summary, promoted to most-recently-used. Miss: nullptr.
+  std::shared_ptr<const MapSummary> get(const std::string& key);
 
   /// Inserts (or refreshes) `value`, evicting the shard's LRU tail when over
   /// budget.
-  void put(const std::string& key, std::shared_ptr<const MapResult> value);
+  void put(const std::string& key, std::shared_ptr<const MapSummary> value);
 
   void clear();
 
@@ -72,10 +74,6 @@ class ResultCache {
     std::uint64_t load_quarantined = 0;
     std::size_t entries = 0;
     std::size_t capacity = 0;  // configured global bound (entries <= capacity)
-    /// Gate-store bytes of the resident entries, Σ size() × sizeof(Gate)
-    /// over their mapped circuits (an object put under two keys counts
-    /// twice). The gates dominate an entry's footprint: Θ(n²) for QFT-n.
-    std::uint64_t gate_bytes = 0;
   };
   /// Aggregated over shards (each shard is locked in turn, so the totals are
   /// a consistent-enough snapshot for monitoring, not a barrier).
@@ -85,12 +83,10 @@ class ResultCache {
   double ttl_seconds() const { return ttl_seconds_; }
 
   /// Cross-process persistence (--cache-file): writes every resident entry
-  /// in a line-oriented text format whose MapResult payload is the
-  /// to_qasm/mapped_from_qasm round trip — the same exact codec QASM export
-  /// uses, so a reloaded entry serves bit-identical results. Entries are
-  /// written LRU-first per shard; load() re-inserts in file order, so the
-  /// recency order survives the round trip. Returns false when the stream
-  /// fails mid-write.
+  /// in a line-oriented text format (%.17g fidelity, so a reloaded entry
+  /// serves bit-identical responses). Entries are written LRU-first per
+  /// shard; load() re-inserts in file order, so the recency order survives
+  /// the round trip. Returns false when the stream fails mid-write.
   bool save(std::ostream& out) const;
 
   /// save() to `path` crash-safely: the bytes go to a sibling temp file,
@@ -115,7 +111,7 @@ class ResultCache {
   /// entries get a fresh timestamp — persistence does not preserve age.
   struct Entry {
     std::string key;
-    std::shared_ptr<const MapResult> value;
+    std::shared_ptr<const MapSummary> value;
     std::chrono::steady_clock::time_point inserted;
   };
 
@@ -134,11 +130,9 @@ class ResultCache {
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::uint64_t expired = 0;
-    std::uint64_t gate_bytes = 0;  // of the entries in `lru`
   };
 
   Shard& shard_for(const std::string& key);
-  static std::uint64_t gate_bytes(const MapResult& result);
 
   std::size_t capacity_;
   double ttl_seconds_ = 0.0;

@@ -531,7 +531,7 @@ std::string serve_response_json(const std::string& id, const JobResult& out) {
     s += "}";
     return s;
   }
-  const MapResult& r = *out.result;
+  const MapSummary& r = *out.result;
   // A hit shares the result of the cold request that produced it, so its own
   // size and (zero) timings come from the JobResult. A JobResult built around
   // a fresh pipeline result need not fill requested_n: the result's own is
@@ -543,7 +543,7 @@ std::string serve_response_json(const std::string& id, const JobResult& out) {
   s += ",\"engine\":\"" + json_escape(r.engine) + "\"";
   s += ",\"requested_n\":" + std::to_string(requested_n);
   s += ",\"n\":" + std::to_string(r.n);
-  s += ",\"physical\":" + std::to_string(r.graph.num_qubits());
+  s += ",\"physical\":" + std::to_string(r.physical);
   if (r.check.ok) {
     s += ",\"depth\":" + std::to_string(r.check.depth);
     s += ",\"h\":" + std::to_string(r.check.counts.h);
@@ -631,8 +631,7 @@ std::string metrics_json(const MappingService& service,
   s += ",\"expired\":" + std::to_string(cache.expired);
   s += ",\"load_quarantined\":" + std::to_string(cache.load_quarantined);
   s += ",\"entries\":" + std::to_string(cache.entries);
-  s += ",\"capacity\":" + std::to_string(cache.capacity);
-  s += ",\"gate_bytes\":" + std::to_string(cache.gate_bytes) + "}";
+  s += ",\"capacity\":" + std::to_string(cache.capacity) + "}";
   s += ",\"devices\":{\"loaded\":" + count(metrics.device_loads);
   s += ",\"load_errors\":" + count(metrics.device_load_errors) + "}";
   s += ",\"sat\":{\"conflicts\":" + count(metrics.sat_conflicts);

@@ -45,14 +45,14 @@
 //    "in_flight":...,
 //    "cache":{"hits":...,"misses":...,"insertions":...,"evictions":...,
 //             "expired":...,"load_quarantined":...,"entries":...,
-//             "capacity":...,"gate_bytes":...},
+//             "capacity":...},
 //    "devices":{"loaded":...,"load_errors":...},
 //    "sat":{"conflicts":...,"decisions":...,"restarts":...,"solve_calls":...},
 //    "map_seconds":{"count":...,"p50":...,"p99":...},
 //    "queue_seconds":{"count":...,"p50":...,"p99":...}}
 //
-// `cache` mirrors MappingService::cache_stats() (`gate_bytes`: the gate-store
-// bytes the cached results hold resident); `sat` totals the solver
+// `cache` mirrors MappingService::cache_stats() (its entries are summaries:
+// a response never carries a gate, so none is kept); `sat` totals the solver
 // effort of every completed job; the latency quantiles come from streaming
 // histograms (~19% relative resolution, see net::LatencyHistogram).
 //

@@ -32,8 +32,14 @@ namespace verify {
 /// audited (structured emitters do; routed baselines that bypass
 /// LayerEmitter leave it false and the pipeline falls back to
 /// check_qft_mapping), and `result` carries the verdict.
+///
+/// `store_gates` false puts the emitter in summary mode: every emit rule and
+/// the audit arithmetic still run, but no gate is stored, and finish()
+/// returns a circuit with zero gates and zero capacity. MapperPipeline::
+/// summarize sets it; a router that bypasses LayerEmitter ignores it.
 struct EmitAudit {
   LatencyModel model;
+  bool store_gates = true;
   bool engaged = false;
   QftCheckResult result;
 };

@@ -250,8 +250,8 @@ TEST(Service, GeneralCircuitsAreCachedByContent) {
   const JobResult warm = service.submit(req).wait();
   ASSERT_TRUE(warm.ok()) << warm.error;
   EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(warm.result->mapped.circuit.size(),
-            cold.result->mapped.circuit.size());
+  EXPECT_EQ(warm.result.get(), cold.result.get());
+  EXPECT_EQ(warm.result->check.counts.swap, cold.result->check.counts.swap);
 
   // Same engine, same width, different content: no stale hit.
   Circuit other = sample_circuit(4);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "pipeline/batch.hpp"
 #include "pipeline/mapper_pipeline.hpp"
 #include "sat/solver_interface.hpp"
+#include "service/mapping_service.hpp"
 #include "support/dpll_solver.hpp"
 #include "support/qft_replay.hpp"
 
@@ -388,6 +390,227 @@ TEST(PipelineBatch, PerItemFailuresDoNotAbortTheBatch) {
 
 TEST(PipelineBatch, EmptyBatchIsFine) {
   EXPECT_TRUE(map_qft_batch({}).empty());
+}
+
+TEST(PipelineBatch, ItemsEqualFreshRunsAndOwnTheirGates) {
+  // A private pipeline runs on the batch's own workers; repeated and
+  // snapped requests are mapped again, each into its own circuit.
+  const MapperPipeline pipeline = MapperPipeline::with_paper_engines();
+  const std::vector<BatchRequest> reqs = {
+      {"grid", 30, MapOptions{}}, {"grid", 36, MapOptions{}},
+      {"grid", 30, MapOptions{}}};
+  const auto items = map_qft_batch(reqs, 2, pipeline);
+  ASSERT_EQ(items.size(), reqs.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ASSERT_TRUE(items[i].ok) << items[i].error;
+    const MapResult fresh = pipeline.run(reqs[i].engine, reqs[i].n);
+    const MapResult& got = items[i].result;
+    EXPECT_EQ(got.requested_n, reqs[i].n) << i;
+    EXPECT_EQ(got.n, fresh.n) << i;
+    EXPECT_EQ(got.physical, fresh.physical) << i;
+    EXPECT_EQ(got.mapped.circuit.fingerprint(),
+              fresh.mapped.circuit.fingerprint())
+        << i;
+    EXPECT_EQ(got.mapped.initial, fresh.mapped.initial) << i;
+    EXPECT_EQ(got.mapped.final_mapping, fresh.mapped.final_mapping) << i;
+    EXPECT_EQ(got.check.depth, fresh.check.depth) << i;
+    EXPECT_EQ(got.log10_fidelity, fresh.log10_fidelity) << i;
+    EXPECT_GT(got.timings.map_seconds, 0.0) << i << ": every item ran";
+  }
+  EXPECT_NE(items[0].result.mapped.circuit.data(),
+            items[2].result.mapped.circuit.data());
+}
+
+TEST(PipelineBatch, GeneralCircuitItemsCheckTheirSize) {
+  auto circuit = std::make_shared<Circuit>(3);
+  circuit->append(Gate::h(0));
+  circuit->append(Gate::cnot(0, 2));
+  BatchRequest fill{"sabre", 0, MapOptions{}, circuit};
+  BatchRequest mismatch{"sabre", 5, MapOptions{}, circuit};
+  fill.options.sabre.trials = 1;
+  const auto items = map_qft_batch({fill, mismatch}, 2);
+  ASSERT_EQ(items.size(), 2u);
+  ASSERT_TRUE(items[0].ok) << items[0].error;
+  EXPECT_EQ(items[0].result.n, 3);
+  EXPECT_TRUE(items[0].result.check.ok) << items[0].result.check.error;
+  EXPECT_FALSE(items[1].ok);
+  EXPECT_NE(items[1].error.find("n does not match"), std::string::npos)
+      << items[1].error;
+}
+
+// -------------------------------------------------------------- summaries --
+
+namespace {
+
+/// Field-for-field equality of two summaries. Wall times differ run to run;
+/// every other field, the fidelity bit for bit, must not.
+void expect_same_summary(const MapSummary& a, const MapSummary& b,
+                         const std::string& label) {
+  EXPECT_EQ(a.engine, b.engine) << label;
+  EXPECT_EQ(a.requested_n, b.requested_n) << label;
+  EXPECT_EQ(a.n, b.n) << label;
+  EXPECT_EQ(a.physical, b.physical) << label;
+  EXPECT_EQ(a.check.ok, b.check.ok) << label;
+  EXPECT_EQ(a.check.error, b.check.error) << label;
+  EXPECT_EQ(a.check.depth, b.check.depth) << label;
+  EXPECT_EQ(a.check.counts.h, b.check.counts.h) << label;
+  EXPECT_EQ(a.check.counts.x, b.check.counts.x) << label;
+  EXPECT_EQ(a.check.counts.rz, b.check.counts.rz) << label;
+  EXPECT_EQ(a.check.counts.cphase, b.check.counts.cphase) << label;
+  EXPECT_EQ(a.check.counts.swap, b.check.counts.swap) << label;
+  EXPECT_EQ(a.check.counts.cnot, b.check.counts.cnot) << label;
+  EXPECT_EQ(std::memcmp(&a.log10_fidelity, &b.log10_fidelity, sizeof(double)),
+            0)
+      << label << ": " << a.log10_fidelity << " vs " << b.log10_fidelity;
+  EXPECT_EQ(a.timings.sat.solve_calls, b.timings.sat.solve_calls) << label;
+  EXPECT_EQ(a.timings.sabre.passes, b.timings.sabre.passes) << label;
+  EXPECT_EQ(a.timings.sabre.blocked_steps, b.timings.sabre.blocked_steps)
+      << label;
+  EXPECT_EQ(a.timings.sabre.swaps, b.timings.sabre.swaps) << label;
+}
+
+const char* const kStructuredEngines[] = {
+    "lnn", "heavy_hex", "heavy_hex_device", "sycamore",
+    "lattice", "grid", "lnn_baseline"};
+
+/// summarize() against run().summary(), and the engine's emitter in summary
+/// mode against the materialized verdict: no gate stored, none reserved.
+void expect_summary_equals_materialized(const std::string& engine,
+                                        std::int32_t n,
+                                        const MapOptions& opts,
+                                        const std::string& variant) {
+  const auto& pipeline = MapperPipeline::global();
+  const MapResult full = pipeline.run(engine, n, opts);
+  const std::string label =
+      engine + " n=" + std::to_string(full.n) + variant;
+  ASSERT_TRUE(full.check.ok) << label << ": " << full.check.error;
+  expect_same_summary(pipeline.summarize(engine, n, opts), full.summary(),
+                      label);
+
+  const MapperEngine& mapper = pipeline.at(engine);
+  verify::EmitAudit audit;
+  audit.model = mapper.latency_model(full.graph);
+  audit.store_gates = false;
+  MapOptions map_opts = opts;
+  map_opts.audit = &audit;
+  const MappedCircuit mc = mapper.map(full.n, full.graph, map_opts);
+  EXPECT_EQ(mc.circuit.size(), 0u) << label;
+  EXPECT_EQ(mc.circuit.capacity(), 0u) << label;
+  EXPECT_EQ(mc.circuit.num_qubits(), full.physical) << label;
+  EXPECT_EQ(mc.initial, full.mapped.initial) << label;
+  EXPECT_EQ(mc.final_mapping, full.mapped.final_mapping) << label;
+  ASSERT_TRUE(audit.engaged) << label;
+  expect_same_check(audit.result, full.check, label + " summary audit");
+}
+
+}  // namespace
+
+TEST(Summary, EqualsMaterialized) {
+  // n = 1 snaps to each engine's smallest native size.
+  for (const char* engine : kStructuredEngines) {
+    for (const std::int32_t n : {1, 64, 1000}) {
+      expect_summary_equals_materialized(engine, n, MapOptions{}, "");
+    }
+  }
+  MapOptions strict;
+  strict.strict_ie = true;
+  MapOptions no_offset;
+  no_offset.lattice_phase_offset = 0;
+  MapOptions unit_swap_off;
+  unit_swap_off.transversal_unit_swap = false;
+  for (const char* engine : {"sycamore", "lattice", "grid"}) {
+    for (const std::int32_t n : {16, 64, 256}) {
+      expect_summary_equals_materialized(engine, n, strict, " strict_ie");
+      if (std::string(engine) == "sycamore") continue;
+      expect_summary_equals_materialized(engine, n, no_offset,
+                                         " lattice_phase_offset=0");
+      expect_summary_equals_materialized(engine, n, unit_swap_off,
+                                         " transversal_unit_swap=false");
+    }
+  }
+}
+
+TEST(Summary, RoutedEnginesMaterializeAndSummarize) {
+  MapOptions opts;
+  opts.sabre.trials = 1;
+  opts.satmap.time_budget_seconds = 60.0;
+  const auto& pipeline = MapperPipeline::global();
+  for (const auto& [engine, n] : {std::pair<const char*, std::int32_t>{
+                                      "sabre", 16},
+                                  {"satmap", 4}}) {
+    const MapResult full = pipeline.run(engine, n, opts);
+    ASSERT_TRUE(full.check.ok) << engine << ": " << full.check.error;
+    const MapSummary summary = pipeline.summarize(engine, n, opts);
+    if (std::string(engine) == "satmap") {
+      // The solver's effort depends on its budget clock; the mapping and
+      // its verdict do not.
+      EXPECT_EQ(summary.check.depth, full.check.depth);
+      EXPECT_EQ(summary.check.counts.swap, full.check.counts.swap);
+      continue;
+    }
+    expect_same_summary(summary, full.summary(), engine);
+  }
+}
+
+TEST(Summary, VerifyOffStillStoresNoGates) {
+  // "verify": false serve requests summarize too: the pipeline hands the
+  // structured emitter a summary-mode audit and drops its verdict.
+  struct Seen {
+    bool summary_mode = false;
+    std::size_t capacity = 1;
+  };
+  class ProbeLnn final : public MapperEngine {
+   public:
+    explicit ProbeLnn(Seen* seen) : seen_(seen) {}
+    std::string name() const override { return "probe_lnn"; }
+    std::string description() const override { return "lnn, observed"; }
+    CouplingGraph build_graph(std::int32_t n,
+                              const MapOptions&) const override {
+      return MapperPipeline::global().at("lnn").build_graph(n, {});
+    }
+    MappedCircuit map(std::int32_t n, const CouplingGraph&,
+                      const MapOptions& opts) const override {
+      MappedCircuit mc = map_qft_lnn(n, opts.audit);
+      seen_->summary_mode =
+          opts.audit != nullptr && !opts.audit->store_gates;
+      seen_->capacity = mc.circuit.capacity();
+      return mc;
+    }
+
+   private:
+    Seen* seen_;
+  };
+  Seen seen;
+  MapperPipeline pipeline = MapperPipeline::with_paper_engines();
+  pipeline.register_engine(std::make_unique<ProbeLnn>(&seen));
+  MapOptions off;
+  off.verify = false;
+  const MapSummary summary = pipeline.summarize("probe_lnn", 12, off);
+  EXPECT_TRUE(seen.summary_mode);
+  EXPECT_EQ(seen.capacity, 0u);
+  expect_same_summary(summary, pipeline.run("probe_lnn", 12, off).summary(),
+                      "verify off");
+  EXPECT_FALSE(summary.check.ok);
+  EXPECT_TRUE(summary.check.error.empty());
+  EXPECT_EQ(summary.log10_fidelity, 0.0);
+  EXPECT_FALSE(seen.summary_mode) << "run() materializes";
+}
+
+TEST(Summary, SabreColdAndHitAreEqual) {
+  MappingService::Options options;
+  options.num_threads = 1;
+  MappingService service{options};
+  MapOptions opts;
+  opts.sabre.trials = 2;
+  const JobResult cold = service.submit({"sabre", 12, opts}).wait();
+  const JobResult hit = service.submit({"sabre", 12, opts}).wait();
+  ASSERT_TRUE(cold.ok() && hit.ok()) << cold.error << hit.error;
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_TRUE(hit.cache_hit);
+  expect_same_summary(*hit.result, *cold.result, "sabre hit vs cold");
+  expect_same_summary(*cold.result,
+                      MapperPipeline::global().run("sabre", 12, opts).summary(),
+                      "sabre cold vs run");
 }
 
 // ------------------------------------------------------------ determinism --

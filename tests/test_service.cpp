@@ -16,9 +16,7 @@
 #include "arch/line.hpp"
 #include "common/timer.hpp"
 #include "mapper/lnn_mapper.hpp"
-#include "pipeline/batch.hpp"
 #include "pipeline/mapper_pipeline.hpp"
-#include "qasm/qasm.hpp"
 #include "service/mapping_service.hpp"
 #include "service/result_cache.hpp"
 #include "service/serve.hpp"
@@ -250,21 +248,6 @@ TEST(Service, CacheHitZeroesSabreStats) {
   EXPECT_EQ(warm.timings().sabre.blocked_steps, 0);
 }
 
-TEST(Service, CachedRoutedResultsCarryNoGrowthSlack) {
-  // A routed circuit grows by doubling; the cache holds it trimmed, so
-  // cache.gate_bytes (size x sizeof(Gate)) is what the entry occupies.
-  MappingService service{service_options(1)};
-  MapOptions opts;
-  opts.sabre.trials = 1;
-  ASSERT_TRUE(service.submit({"sabre", 16, opts}).wait().ok());
-  const JobResult hit = service.submit({"sabre", 16, opts}).wait();
-  ASSERT_TRUE(hit.ok()) << hit.error;
-  EXPECT_TRUE(hit.cache_hit);
-  const Circuit& c = hit.result->mapped.circuit;
-  EXPECT_EQ(c.capacity(), c.size());
-  EXPECT_EQ(service.cache_stats().gate_bytes, c.capacity() * sizeof(Gate));
-}
-
 TEST(Service, CacheHitIsBitIdenticalWithZeroMapTime) {
   MappingService service{service_options(2)};
   const JobResult cold = service.submit({"lattice", 10, MapOptions{}}).wait();
@@ -277,17 +260,14 @@ TEST(Service, CacheHitIsBitIdenticalWithZeroMapTime) {
   EXPECT_EQ(warm.timings().map_seconds, 0.0);
   EXPECT_EQ(warm.timings().check_seconds, 0.0);
 
-  // Bit-identical to a fresh pipeline.run on every payload field.
+  // Bit-identical to a fresh pipeline.run on every summary field.
   const MapResult fresh = MapperPipeline::global().run("lattice", 10);
-  const MapResult& hit = *warm.result;
+  const MapSummary& hit = *warm.result;
   EXPECT_EQ(hit.engine, fresh.engine);
   EXPECT_EQ(warm.requested_n, fresh.requested_n);
   EXPECT_EQ(hit.n, fresh.n);
-  EXPECT_EQ(hit.mapped.circuit.to_string(), fresh.mapped.circuit.to_string());
-  EXPECT_EQ(hit.mapped.initial, fresh.mapped.initial);
-  EXPECT_EQ(hit.mapped.final_mapping, fresh.mapped.final_mapping);
-  EXPECT_EQ(hit.graph.name(), fresh.graph.name());
-  EXPECT_EQ(hit.graph.num_qubits(), fresh.graph.num_qubits());
+  EXPECT_EQ(hit.physical, fresh.graph.num_qubits());
+  EXPECT_EQ(hit.log10_fidelity, fresh.log10_fidelity);
   EXPECT_EQ(hit.check.ok, fresh.check.ok);
   EXPECT_EQ(hit.check.depth, fresh.check.depth);
   EXPECT_EQ(hit.check.counts.h, fresh.check.counts.h);
@@ -310,7 +290,7 @@ TEST(Service, CacheKeyUsesNativeSizeButEchoesRequestedSize) {
   EXPECT_EQ(second.result->n, 16);
 }
 
-TEST(Service, CacheHoldsTheColdResultAndEveryHitSharesIt) {
+TEST(Service, CacheHoldsTheColdSummaryAndEveryHitSharesIt) {
   MappingService service{service_options(1)};
   const JobResult cold = service.submit({"lattice", 10, MapOptions{}}).wait();
   ASSERT_TRUE(cold.ok()) << cold.error;
@@ -325,19 +305,14 @@ TEST(Service, CacheHoldsTheColdResultAndEveryHitSharesIt) {
   ASSERT_TRUE(exact.ok() && snapped.ok()) << exact.error << snapped.error;
   EXPECT_TRUE(exact.cache_hit);
   EXPECT_TRUE(snapped.cache_hit);
-  // One resident copy of the gates: the cache holds the cold job's object.
+  // The cache holds the cold job's summary object; every hit shares it.
   EXPECT_EQ(exact.result.get(), cold.result.get());
   EXPECT_EQ(snapped.result.get(), cold.result.get());
   EXPECT_EQ(snapped.requested_n, 16);
   EXPECT_EQ(exact.requested_n, 10);
   EXPECT_EQ(cold.result->requested_n, 10) << "the shared result is the cold one";
-
-  const std::uint64_t bytes = cold.result->mapped.circuit.size() * sizeof(Gate);
-  EXPECT_GT(bytes, 0u);
-  EXPECT_EQ(service.cache_stats().gate_bytes, bytes);
-  EXPECT_NE(metrics_json(service, ServeMetrics{})
-                .find("\"gate_bytes\":" + std::to_string(bytes) + "}"),
-            std::string::npos);
+  EXPECT_EQ(cold.result->physical, 16);
+  EXPECT_EQ(service.cache_stats().entries, 1u);
 }
 
 TEST(Service, CacheInvalidatedByAblationKnobs) {
@@ -421,41 +396,6 @@ TEST(ResultCache, LruEvictsTheColdestEntryPerShard) {
   EXPECT_EQ(stats.entries, 2u);
 }
 
-std::shared_ptr<const MapResult> result_with_gates(std::size_t gates) {
-  auto r = std::make_shared<MapResult>();
-  r->mapped.circuit = Circuit(1);
-  for (std::size_t i = 0; i < gates; ++i) r->mapped.circuit.append(Gate::h(0));
-  return r;
-}
-
-TEST(ResultCache, GateBytesTrackInsertsEvictionsAndExpiry) {
-  constexpr std::uint64_t kGate = sizeof(Gate);
-  const auto three = result_with_gates(3), five = result_with_gates(5),
-             seven = result_with_gates(7);
-  ResultCache cache(/*capacity=*/2, /*shards=*/1);
-  EXPECT_EQ(cache.stats().gate_bytes, 0u);
-  cache.put("a", three);
-  EXPECT_EQ(cache.stats().gate_bytes, 3 * kGate);
-  cache.put("b", five);
-  EXPECT_EQ(cache.stats().gate_bytes, 8 * kGate);
-  cache.put("a", seven);  // a refresh swaps the charge, not adds to it
-  EXPECT_EQ(cache.stats().gate_bytes, 12 * kGate);
-  cache.put("c", three);  // evicts "b", the LRU tail
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().gate_bytes, 10 * kGate);
-  cache.clear();
-  EXPECT_EQ(cache.stats().gate_bytes, 0u);
-
-  ResultCache aging(/*capacity=*/4, /*shards=*/1, /*ttl_seconds=*/0.02);
-  aging.put("x", five);
-  aging.put("y", three);
-  EXPECT_EQ(aging.stats().gate_bytes, 8 * kGate);
-  std::this_thread::sleep_for(50ms);
-  EXPECT_EQ(aging.get("x"), nullptr);
-  EXPECT_EQ(aging.stats().expired, 1u);
-  EXPECT_EQ(aging.stats().gate_bytes, 3 * kGate) << "expiry releases x only";
-}
-
 TEST(ResultCache, GlobalCapacityBoundHoldsWhenShardsDoNotDivide) {
   // 10 entries over 8 shards used to ceil-round to 2 per shard — a de facto
   // bound of 16. The quota split must keep the global total exact.
@@ -484,18 +424,26 @@ TEST(ResultCache, SaveLoadRoundTripServesBitIdenticalHits) {
   const JobResult warm = second.submit({"lattice", 9, MapOptions{}}).wait();
   ASSERT_TRUE(warm.ok()) << warm.error;
   EXPECT_TRUE(warm.cache_hit) << "restored entries must hit";
-  // The QASM codec is the payload authority: round-tripped gates, angles and
-  // mappings must compare equal character for character.
-  EXPECT_EQ(to_qasm(warm.result->mapped), to_qasm(lat.result->mapped));
+  // Every summary field survives; the fidelity bit for bit (%.17g).
+  EXPECT_EQ(warm.result->engine, lat.result->engine);
   EXPECT_EQ(warm.result->n, lat.result->n);
-  EXPECT_EQ(warm.result->graph.name(), lat.result->graph.name());
-  EXPECT_EQ(warm.result->graph.num_qubits(), lat.result->graph.num_qubits());
-  EXPECT_EQ(warm.result->graph.num_edges(), lat.result->graph.num_edges());
+  EXPECT_EQ(warm.result->physical, lat.result->physical);
   EXPECT_EQ(warm.result->check.ok, lat.result->check.ok);
+  EXPECT_EQ(warm.result->check.error, lat.result->check.error);
   EXPECT_EQ(warm.result->check.depth, lat.result->check.depth);
+  EXPECT_EQ(warm.result->check.counts.h, lat.result->check.counts.h);
+  EXPECT_EQ(warm.result->check.counts.cphase, lat.result->check.counts.cphase);
   EXPECT_EQ(warm.result->check.counts.cnot, lat.result->check.counts.cnot);
   EXPECT_EQ(warm.result->check.counts.swap, lat.result->check.counts.swap);
+  EXPECT_EQ(warm.result->log10_fidelity, lat.result->log10_fidelity);
   EXPECT_EQ(warm.timings().map_seconds, 0.0);
+  // A restored hit answers with the cold response up to the hit flag and
+  // the timing fields that follow it.
+  const auto head = [](const JobResult& r) {
+    const std::string line = serve_response_json("1", r);
+    return line.substr(0, line.find(",\"cache_hit\""));
+  };
+  EXPECT_EQ(head(warm), head(lat));
 
   const JobResult warm2 = second.submit({"lnn", 6, MapOptions{}}).wait();
   ASSERT_TRUE(warm2.ok()) << warm2.error;
@@ -505,6 +453,27 @@ TEST(ResultCache, SaveLoadRoundTripServesBitIdenticalHits) {
   std::istringstream garbage("not a cache file\n");
   EXPECT_FALSE(second.cache().load(garbage, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(ResultCache, Version4FileFailsTheMagicCheckAndTheServiceStartsCold) {
+  // A version-4 record carried the graph's edge list and a QASM blob; its
+  // keys match today's, so only the magic line keeps it out.
+  MappingService service{service_options(1)};
+  const std::string key = ResultCache::key("lnn", 2, MapOptions{});
+  const std::string qasm =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n";
+  std::stringstream v4;
+  v4 << "qftmap-cache 4\nentry\nkey " << key.size() << '\n' << key
+     << "\nengine 3\nlnn\nn 2\ngraph 2 1 4\nline\ne 0 1 0\n"
+     << "check 1 3 2 0 0 1 0 0 0\n\nfid -0.5\nqasm " << qasm.size() << '\n'
+     << qasm << "\nend\n";
+  std::string error;
+  EXPECT_FALSE(service.cache().load(v4, &error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  EXPECT_EQ(service.cache_stats().entries, 0u);
+  const JobResult cold = service.submit({"lnn", 2, MapOptions{}}).wait();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  EXPECT_FALSE(cold.cache_hit);
 }
 
 TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
@@ -587,58 +556,6 @@ TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
   }
   EXPECT_NE(ResultCache::key("lattice", 25, base), k);
   EXPECT_NE(ResultCache::key("grid", 16, base), k);
-}
-
-// ------------------------------------------------------- batch front-end --
-
-TEST(ServiceBatch, SecondIdenticalBatchIsServedFromTheCache) {
-  // map_qft_batch rides MappingService::shared(): repeating a deterministic
-  // batch must come back entirely from the cache, bit-identically.
-  std::vector<BatchRequest> reqs;
-  for (std::int32_t n : {4, 9, 16}) reqs.push_back({"lattice", n, MapOptions{}});
-  const auto cold = map_qft_batch(reqs, 2);
-  const auto warm = map_qft_batch(reqs, 2);
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    ASSERT_TRUE(cold[i].ok) << cold[i].error;
-    ASSERT_TRUE(warm[i].ok) << warm[i].error;
-    EXPECT_TRUE(warm[i].cache_hit);
-    EXPECT_EQ(warm[i].result.timings.map_seconds, 0.0);
-    EXPECT_EQ(warm[i].result.mapped.circuit.to_string(),
-              cold[i].result.mapped.circuit.to_string());
-  }
-}
-
-TEST(ServiceBatch, HitsAndMissesReturnEqualResults) {
-  // A private pipeline gets a service (and cache) scoped to the call, so the
-  // first request is a guaranteed miss and the snapped repeats hit it.
-  const MapperPipeline pipeline = MapperPipeline::with_paper_engines();
-  const std::vector<BatchRequest> reqs = {
-      {"grid", 30, MapOptions{}}, {"grid", 36, MapOptions{}},
-      {"grid", 30, MapOptions{}}};
-  const auto items = map_qft_batch(reqs, 1, pipeline);
-  ASSERT_EQ(items.size(), reqs.size());
-  EXPECT_FALSE(items[0].cache_hit);
-  EXPECT_TRUE(items[1].cache_hit);
-  EXPECT_TRUE(items[2].cache_hit);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ASSERT_TRUE(items[i].ok) << items[i].error;
-    const MapResult fresh = pipeline.run(reqs[i].engine, reqs[i].n);
-    const MapResult& got = items[i].result;
-    EXPECT_EQ(got.requested_n, reqs[i].n) << i;
-    EXPECT_EQ(got.n, fresh.n) << i;
-    EXPECT_EQ(got.mapped.circuit.fingerprint(),
-              fresh.mapped.circuit.fingerprint())
-        << i;
-    EXPECT_EQ(got.mapped.initial, fresh.mapped.initial) << i;
-    EXPECT_EQ(got.mapped.final_mapping, fresh.mapped.final_mapping) << i;
-    EXPECT_EQ(got.check.depth, fresh.check.depth) << i;
-    EXPECT_EQ(got.log10_fidelity, fresh.log10_fidelity) << i;
-    if (items[i].cache_hit) EXPECT_EQ(got.timings.map_seconds, 0.0) << i;
-  }
-  // Each item owns its gates; no two alias the cached store.
-  EXPECT_NE(items[1].result.mapped.circuit.data(),
-            items[2].result.mapped.circuit.data());
 }
 
 // ---------------------------------------------------------- serve protocol --

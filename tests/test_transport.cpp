@@ -349,8 +349,7 @@ TEST(Transport, MetricsMatchCacheStatsOverBothProtocols) {
       ",\"expired\":" + std::to_string(stats.expired) +
       ",\"load_quarantined\":" + std::to_string(stats.load_quarantined) +
       ",\"entries\":" + std::to_string(stats.entries) +
-      ",\"capacity\":" + std::to_string(stats.capacity) +
-      ",\"gate_bytes\":" + std::to_string(stats.gate_bytes) + "}";
+      ",\"capacity\":" + std::to_string(stats.capacity) + "}";
   EXPECT_NE(inband.find(cache_doc), std::string::npos) << inband;
   EXPECT_NE(inband.find("\"queue_depth\":"), std::string::npos);
   EXPECT_NE(inband.find("\"map_seconds\":{\"count\":2"), std::string::npos)
