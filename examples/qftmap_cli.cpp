@@ -46,7 +46,9 @@
 // `--serve --listen HOST:PORT` serves the same protocol over TCP to any
 // number of concurrent clients (plus a minimal HTTP adapter: GET /metrics,
 // POST /map) — see src/service/net_server.hpp. `--max-inflight` bounds
-// admitted jobs (excess is shed in-band); `--cache-file FILE` loads the
+// admitted jobs (excess is shed in-band); it, `--max-pending` and
+// `--drain-seconds` are a usage error without `--listen`, since the stdio
+// loop never sheds and has no drain budget. `--cache-file FILE` loads the
 // result cache at startup and saves it crash-safely (temp file + atomic
 // rename) after every graceful drain, so a warmed cache survives restarts.
 // SIGTERM (or stdin EOF on an interactive stdin) drains gracefully: stop
@@ -144,10 +146,8 @@ bool parse_number(const char* text, double lo, double hi, T& out) {
 // SIGTERM/SIGINT handler target. request_stop() only stores a lock-free
 // atomic, so calling it here is async-signal-safe.
 qfto::net::NetServer* g_server = nullptr;
-volatile std::sig_atomic_t g_stop_requested = 0;
 
 void handle_stop_signal(int) {
-  g_stop_requested = 1;
   if (g_server != nullptr) g_server->request_stop();
 }
 
@@ -218,6 +218,7 @@ int main(int argc, char** argv) {
   MappingService::Options service_opts;
   net::NetServer::Options net_opts;
   std::string listen_spec, cache_file;
+  const char* socket_only_flag = nullptr;  // a TCP limit flag, if one was given
 
   // IPASIR plugins from the environment load before any argument acts (so
   // `--solver`, `--list-solvers` and `--serve` all see them). A broken spec
@@ -260,15 +261,18 @@ int main(int argc, char** argv) {
       if (!v) return usage(argv[0]);
       listen_spec = v;
     } else if (a == "--max-inflight") {
+      socket_only_flag = argv[i];
       if (!parse_number(next(), 0, kMaxCount, net_opts.max_inflight)) {
         return usage(argv[0]);
       }
     } else if (a == "--max-pending") {
+      socket_only_flag = argv[i];
       if (!parse_number(next(), 0, kMaxCount,
                         net_opts.max_pending_per_conn)) {
         return usage(argv[0]);
       }
     } else if (a == "--drain-seconds") {
+      socket_only_flag = argv[i];
       if (!parse_number(next(), 0, kMaxSeconds, net_opts.drain_seconds)) {
         return usage(argv[0]);
       }
@@ -372,6 +376,13 @@ int main(int argc, char** argv) {
     } else {
       return usage(argv[0]);
     }
+  }
+  if (socket_only_flag != nullptr && listen_spec.empty()) {
+    // The limits belong to the socket front-end; accepting them silently
+    // elsewhere would suggest a bound that is not there.
+    std::fprintf(stderr, "%s applies only to --serve --listen\n",
+                 socket_only_flag);
+    return usage(argv[0]);
   }
   if (serve) {
     MappingService service(service_opts);

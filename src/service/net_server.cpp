@@ -6,11 +6,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
-#include <deque>
-
-#include "common/fault.hpp"
 
 namespace qfto {
 namespace net {
@@ -47,35 +43,27 @@ bool iequals(const std::string& a, const char* b) {
   return i == a.size() && b[i] == '\0';
 }
 
+/// A pre-formatted reply queued in the session; `http_status` frames it as
+/// an HTTP response.
+ServeSession::Pending reply(std::string body,
+                            const char* http_status = nullptr) {
+  ServeSession::Pending entry;
+  entry.body = std::move(body);
+  entry.http_status = http_status;
+  return entry;
+}
+
 }  // namespace
 
-/// One queued response slot: a JobHandle the writer will wait on, a metrics
-/// snapshot the writer renders when it reaches the slot (so it counts every
-/// response written ahead of it), or a pre-formatted immediate body (parse
-/// errors, shed notices).
-struct NetServer::Pending {
-  enum class Kind { kJob, kMetrics, kImmediate, kParseError, kShed };
-
-  Kind kind = Kind::kImmediate;
-  std::string id = "null";
-  JobHandle handle;       // kJob
-  std::string immediate;  // everything else
-  bool http = false;
-  const char* http_status = "200 OK";
-};
-
+/// One accepted socket: the session its reader thread feeds and its writer
+/// thread drains.
 struct NetServer::Connection {
-  explicit Connection(Socket s) : sock(std::move(s)) {}
+  Connection(Socket s, MappingService& service, ServeMetrics& metrics,
+             ServeSession::Limits limits)
+      : sock(std::move(s)), session(service, metrics, limits) {}
 
   Socket sock;
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Pending> pending;   // response queue, request order
-  std::size_t jobs_pending = 0;  // entries in `pending` that carry a job
-  JobHandle writing;             // job the writer is currently waiting on
-  bool reader_done = false;
-  bool dead = false;  // writer hit a send failure; connection is abandoned
+  ServeSession session;
 
   /// Both threads have exited — the accept loop may join and reap.
   std::atomic<int> exited{0};
@@ -147,14 +135,31 @@ void NetServer::accept_loop() {
     }
     if (!sock.valid()) continue;  // poll timeout — re-check the stop flag
     sock.set_send_timeout_ms(options_.send_timeout_ms);
-    auto conn = std::make_unique<Connection>(std::move(sock));
+    // Back-pressure: a reader stalls once its writer is `backlog` entries
+    // behind, so a client that writes without reading cannot grow the
+    // response queue without bound. Above max_pending_per_conn so shed
+    // notices still queue.
+    const ServeSession::Limits limits{true, options_.max_inflight,
+                                      options_.max_pending_per_conn,
+                                      options_.max_pending_per_conn + 64};
+    auto conn = std::make_unique<Connection>(std::move(sock), *service_,
+                                             metrics_, limits);
     Connection* c = conn.get();
     {
       std::lock_guard<std::mutex> lock(conns_mutex_);
       conns_.push_back(std::move(conn));
     }
     c->reader = std::thread([this, c] { serve_connection(*c); });
-    c->writer = std::thread([this, c] { writer_loop(*c); });
+    c->writer = std::thread([c] {
+      const bool alive = c->session.drain(
+          [c](const std::string& body, const char* http_status) {
+            return c->sock.send_all(http_status != nullptr
+                                        ? http_response(http_status, body)
+                                        : body + "\n");
+          });
+      if (!alive) c->sock.shutdown_read();  // dead client: stop the reader
+      c->mark_exited();
+    });
   }
 }
 
@@ -171,98 +176,8 @@ void NetServer::reap_finished_locked() {
   }
 }
 
-NetServer::Pending NetServer::make_entry(Connection& conn,
-                                         std::string_view payload) {
-  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-  Pending entry;
-  ServeRequest req = parse_serve_request(payload);
-  metrics_.record_request(req);
-  entry.id = req.id;
-  if (!req.ok) {
-    metrics_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-    JobResult rejected;
-    rejected.status = JobStatus::kFailed;
-    rejected.error = req.error;
-    entry.kind = Pending::Kind::kParseError;
-    entry.immediate = serve_response_json(req.id, rejected);
-    return entry;
-  }
-  if (req.metrics) {
-    entry.kind = Pending::Kind::kMetrics;
-    return entry;
-  }
-  // Admission control. Both bounds are advisory point-in-time reads — two
-  // racing readers may both admit at the edge — which is fine: the bound
-  // exists to stop unbounded queue growth, not to be an exact semaphore.
-  if (QFTO_FAULT_POINT("serve.admit.shed")) {
-    metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-    entry.kind = Pending::Kind::kShed;
-    entry.immediate = serve_inband_error(
-        req.id, "shed", "injected fault: admission rejected; retry later");
-    return entry;
-  }
-  if (options_.max_inflight > 0 &&
-      metrics_.in_flight.load(std::memory_order_relaxed) >=
-          static_cast<std::int64_t>(options_.max_inflight)) {
-    metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-    entry.kind = Pending::Kind::kShed;
-    entry.immediate = serve_inband_error(
-        req.id, "shed",
-        "server at max in-flight jobs (" +
-            std::to_string(options_.max_inflight) + "); retry later");
-    return entry;
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn.mutex);
-    if (options_.max_pending_per_conn > 0 &&
-        conn.jobs_pending >= options_.max_pending_per_conn) {
-      metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-      entry.kind = Pending::Kind::kShed;
-      entry.immediate = serve_inband_error(
-          req.id, "shed",
-          "connection at max pending requests (" +
-              std::to_string(options_.max_pending_per_conn) +
-              "); read responses before sending more");
-      return entry;
-    }
-  }
-  entry.kind = Pending::Kind::kJob;
-  entry.handle = service_->submit(std::move(req.request), req.submit);
-  metrics_.in_flight.fetch_add(1, std::memory_order_relaxed);
-  return entry;
-}
-
 void NetServer::serve_connection(Connection& conn) {
   LineReader reader(conn.sock, options_.max_line);
-  // Back-pressure: the reader stalls once the writer is this far behind, so
-  // a client that writes without reading cannot grow the response queue
-  // without bound. Above max_pending_per_conn so shed notices still queue.
-  const std::size_t backlog_bound = options_.max_pending_per_conn + 64;
-  const auto push = [&](Pending entry) {
-    bool was_dead;
-    {
-      std::unique_lock<std::mutex> lock(conn.mutex);
-      conn.cv.wait(lock, [&] {
-        return conn.dead || conn.pending.size() < backlog_bound;
-      });
-      was_dead = conn.dead;
-      if (!was_dead) {
-        if (entry.kind == Pending::Kind::kJob) ++conn.jobs_pending;
-        conn.pending.push_back(std::move(entry));
-      }
-    }
-    if (was_dead) {
-      // The writer is gone; nobody will drain this entry.
-      if (entry.handle.valid()) {
-        entry.handle.cancel();
-        metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
-      }
-      return false;
-    }
-    conn.cv.notify_all();
-    return true;
-  };
-
   std::string line;
   bool first = true;
   while (reader.next(line)) {
@@ -272,48 +187,28 @@ void NetServer::serve_connection(Connection& conn) {
     }
     first = false;
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    if (!push(make_entry(conn, line))) break;
+    if (!conn.session.push(conn.session.admit(line))) break;
   }
   if (reader.status() == LineReader::Status::kOverflow) {
     // Protocol violation: report in-band, then stop reading — the rest of
     // the stream has no trustworthy framing.
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     metrics_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-    Pending entry;
-    entry.kind = Pending::Kind::kParseError;
-    entry.immediate = serve_inband_error(
+    conn.session.push(reply(serve_inband_error(
         "null", "error",
         "request line exceeds " + std::to_string(options_.max_line) +
-            " bytes");
-    push(std::move(entry));
+            " bytes")));
   }
-  {
-    std::lock_guard<std::mutex> lock(conn.mutex);
-    conn.reader_done = true;
-  }
-  conn.cv.notify_all();
+  conn.session.close();
   conn.mark_exited();
 }
 
 void NetServer::serve_http(Connection& conn, LineReader& reader,
                            const std::string& request_line) {
-  const auto push = [&](Pending entry) {
-    {
-      std::lock_guard<std::mutex> lock(conn.mutex);
-      if (conn.dead) return;
-      if (entry.kind == Pending::Kind::kJob) ++conn.jobs_pending;
-      conn.pending.push_back(std::move(entry));
-    }
-    conn.cv.notify_all();
-  };
-  const auto simple = [&](const char* status, const std::string& word,
-                          const std::string& error) {
+  const auto reject = [&](const char* status, const std::string& error) {
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-    Pending entry;
-    entry.http = true;
-    entry.http_status = status;
-    entry.immediate = serve_inband_error("null", word, error);
-    push(std::move(entry));
+    conn.session.push(
+        reply(serve_inband_error("null", "error", error), status));
   };
 
   const std::size_t sp1 = request_line.find(' ');
@@ -337,16 +232,16 @@ void NetServer::serve_http(Connection& conn, LineReader& reader,
 
   if (method == "GET" && path == "/metrics") {
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-    Pending entry;
-    entry.kind = Pending::Kind::kMetrics;
-    entry.http = true;
-    push(std::move(entry));
+    ServeSession::Pending entry;
+    entry.http_status = "200 OK";
+    entry.metrics = true;
+    conn.session.push(std::move(entry));
     return;
   }
   if (method == "POST" && path == "/map") {
     if (content_length < 0 ||
         content_length > static_cast<long long>(options_.max_line)) {
-      simple("411 Length Required", "error",
+      reject("411 Length Required",
              "POST /map requires a Content-Length within the line bound");
       return;
     }
@@ -354,80 +249,10 @@ void NetServer::serve_http(Connection& conn, LineReader& reader,
     if (!reader.read_exact(static_cast<std::size_t>(content_length), body)) {
       return;  // body never arrived; nothing to answer
     }
-    Pending entry = make_entry(conn, body);
-    entry.http = true;
-    if (entry.kind == Pending::Kind::kParseError) {
-      entry.http_status = "400 Bad Request";
-    } else if (entry.kind == Pending::Kind::kShed) {
-      entry.http_status = "503 Service Unavailable";
-    }
-    push(std::move(entry));
+    conn.session.push(conn.session.admit(body, /*http=*/true));
     return;
   }
-  simple("404 Not Found", "error",
-         "unsupported endpoint (GET /metrics, POST /map)");
-}
-
-void NetServer::writer_loop(Connection& conn) {
-  for (;;) {
-    Pending entry;
-    {
-      std::unique_lock<std::mutex> lock(conn.mutex);
-      conn.cv.wait(lock, [&] {
-        return conn.dead || conn.reader_done || !conn.pending.empty();
-      });
-      if (conn.dead || conn.pending.empty()) break;  // abandoned or drained
-      entry = std::move(conn.pending.front());
-      conn.pending.pop_front();
-      if (entry.kind == Pending::Kind::kJob) {
-        --conn.jobs_pending;
-        // Visible to stop_and_drain so a past-budget drain can cancel the
-        // job this writer is about to block on.
-        conn.writing = entry.handle;
-      }
-    }
-    conn.cv.notify_all();  // reader may be waiting on the back-pressure bound
-
-    std::string body;
-    if (entry.handle.valid()) {
-      const JobResult result = entry.handle.wait();
-      metrics_.record_result(result);
-      metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
-      body = serve_response_json(entry.id, result);
-      std::lock_guard<std::mutex> lock(conn.mutex);
-      conn.writing = JobHandle();
-    } else if (entry.kind == Pending::Kind::kMetrics) {
-      body = metrics_json(*service_, metrics_);
-    } else {
-      body = entry.immediate;
-    }
-
-    const bool sent =
-        entry.http ? conn.sock.send_all(http_response(entry.http_status, body))
-                   : conn.sock.send_all(body + "\n");
-    if (!sent) {
-      // Dead client: stop the reader, drop the backlog, cancel its jobs —
-      // the pool must not grind through work nobody can receive.
-      std::deque<Pending> orphans;
-      {
-        std::lock_guard<std::mutex> lock(conn.mutex);
-        conn.dead = true;
-        orphans.swap(conn.pending);
-        conn.jobs_pending = 0;
-      }
-      conn.cv.notify_all();
-      conn.sock.shutdown_read();
-      for (Pending& orphan : orphans) {
-        if (orphan.handle.valid()) {
-          orphan.handle.cancel();
-          metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
-        }
-      }
-      break;
-    }
-    metrics_.responses.fetch_add(1, std::memory_order_relaxed);
-  }
-  conn.mark_exited();
+  reject("404 Not Found", "unsupported endpoint (GET /metrics, POST /map)");
 }
 
 void NetServer::stop_and_drain() {
@@ -464,13 +289,7 @@ void NetServer::stop_and_drain() {
   // being waited on. Writers then complete quickly (cancelled results) and
   // connections wind down.
   if (!all_finished()) {
-    for (Connection* conn : live) {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      for (Pending& entry : conn->pending) {
-        if (entry.handle.valid()) entry.handle.cancel();
-      }
-      if (conn->writing.valid()) conn->writing.cancel();
-    }
+    for (Connection* conn : live) conn->session.cancel_all();
   }
 
   std::lock_guard<std::mutex> lock(conns_mutex_);

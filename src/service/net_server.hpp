@@ -1,10 +1,12 @@
 // TCP front-end for the MappingService — the transport that turns the
-// single-client stdio serve loop into a multi-tenant server. One accept loop,
-// one reader/writer thread pair per connection, both speaking the exact
-// protocol of serve.hpp (parse_serve_request / serve_response_json), so the
-// stdio loop, the socket path and every test exercise the same request
-// grammar. Responses stream back in per-connection request order while jobs
-// run concurrently under the service's priority/deadline semantics.
+// single-client stdio serve loop into a multi-tenant server. One accept loop;
+// each connection runs the stdio loop's own ServeSession (serve.hpp), fed by
+// a reader thread and drained by a writer thread, so the stdio loop, the
+// socket path and every test share one queue, one admission path and one
+// writer. Only the transport stays here: socket framing, the HTTP sniff, the
+// overflow reply, the accept loop and the drain. Responses stream back in
+// per-connection request order while jobs run concurrently under the
+// service's priority/deadline semantics.
 //
 // Two protocols share the port, sniffed from the first bytes of each
 // connection:
@@ -48,8 +50,8 @@ class NetServer {
     /// Global bound on jobs submitted-but-unanswered across all
     /// connections; requests past it are shed. 0 = unbounded.
     std::size_t max_inflight = 1024;
-    /// Per-connection bound on queued responses (the reader stops admitting
-    /// new jobs for a connection whose writer is this far behind).
+    /// Per-connection bound on queued jobs: past it requests are shed, and
+    /// the reader blocks 64 queued responses later. 0 = unbounded.
     std::size_t max_pending_per_conn = 256;
     /// stop_and_drain(): seconds to let in-flight jobs finish before their
     /// cancel tokens are flipped.
@@ -98,16 +100,12 @@ class NetServer {
   void stop_and_drain();
 
  private:
-  struct Pending;
   struct Connection;
 
   void accept_loop();
   void serve_connection(Connection& conn);
   void serve_http(Connection& conn, LineReader& reader,
                   const std::string& request_line);
-  void writer_loop(Connection& conn);
-  /// Admission + parse of one request payload; returns the queue entry.
-  Pending make_entry(Connection& conn, std::string_view payload);
   void reap_finished_locked();
 
   MappingService* service_;

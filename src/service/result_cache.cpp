@@ -218,10 +218,11 @@ namespace {
 // entry any more; loading one would only hold LRU capacity. Version 4 dropped
 // the verify-strategy character after "|verify=" for the same reason.
 // Version 5 holds summaries: the QASM blob and the graph's edge list gave
-// way to the register size ("physical"). An older file fails the magic
-// check and the service starts cold — acceptable for a cache, never
-// silently wrong.
-constexpr const char* kCacheMagic = "qftmap-cache 5";
+// way to the register size ("physical"). A file of another version fails
+// the load, naming both versions, and the service starts cold — acceptable
+// for a cache, never silently wrong.
+constexpr const char* kCacheMagicPrefix = "qftmap-cache ";
+constexpr const char* kCacheVersion = "5";
 
 void write_blob(std::ostream& out, const char* tag, const std::string& bytes) {
   out << tag << ' ' << bytes.size() << '\n' << bytes << '\n';
@@ -254,7 +255,7 @@ bool read_blob(std::istream& in, std::size_t len, std::string& bytes,
 }  // namespace
 
 bool ResultCache::save(std::ostream& out) const {
-  out << kCacheMagic << '\n';
+  out << kCacheMagicPrefix << kCacheVersion << '\n';
   for (const auto& sp : shards_) {
     // Snapshot under the lock (shared_ptr copies), serialize outside it.
     std::vector<std::pair<std::string, std::shared_ptr<const MapSummary>>>
@@ -399,8 +400,17 @@ bool ResultCache::load(std::istream& in, std::string* error) {
   if (QFTO_FAULT_POINT("cache.load.fail")) {
     return fail("cache load: injected read failure");
   }
-  if (!std::getline(in, line) || line != kCacheMagic) {
+  if (!std::getline(in, line) || line.rfind(kCacheMagicPrefix, 0) != 0) {
     return fail("cache load: bad magic (not a qftmap cache file?)");
+  }
+  const std::string version = line.substr(std::strlen(kCacheMagicPrefix));
+  if (version.empty() ||
+      version.find_first_not_of("0123456789") != std::string::npos) {
+    return fail("cache load: bad magic (not a qftmap cache file?)");
+  }
+  if (version != kCacheVersion) {
+    return fail("cache load: file is qftmap-cache version " + version +
+                ", this build reads version " + kCacheVersion);
   }
   // Quarantine discipline: a record that fails to parse costs exactly that
   // record. We count it, remember the first reason for the error summary,

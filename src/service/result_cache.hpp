@@ -98,12 +98,13 @@ class ResultCache {
 
   /// Restores entries written by save() through the normal put() path (the
   /// capacity bound applies; a smaller cache keeps the most recent tail).
-  /// False with a message in `error` on a bad magic line or an injected
-  /// read failure. A malformed *entry* does not abort the load: the record
-  /// is quarantined (counted in Stats::load_quarantined and summarized in
-  /// `error`, which can be set even when load returns true) and reading
-  /// resynchronizes at the next "entry" line — one corrupt record must not
-  /// discard an entire warmed cache.
+  /// False with a message in `error` on a bad magic line, a file of
+  /// another `qftmap-cache` version (the message names both versions) or an
+  /// injected read failure. A malformed *entry* does not abort the load: the
+  /// record is quarantined (counted in Stats::load_quarantined and
+  /// summarized in `error`, which can be set even when load returns true)
+  /// and reading resynchronizes at the next "entry" line — one corrupt
+  /// record must not discard an entire warmed cache.
   bool load(std::istream& in, std::string* error = nullptr);
 
  private:

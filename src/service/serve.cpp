@@ -1,19 +1,17 @@
 #include "service/serve.hpp"
 
 #include "arch/device_model.hpp"
+#include "common/fault.hpp"
 #include "qasm/qasm.hpp"
 
 #include <cctype>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <istream>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <thread>
 
@@ -655,6 +653,147 @@ std::string metrics_json(const MappingService& service,
   return s;
 }
 
+// ------------------------------------------------------------- session --
+
+ServeSession::Pending ServeSession::admit(std::string_view payload,
+                                          bool http) {
+  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+  ServeRequest req = parse_serve_request(payload);
+  metrics_.record_request(req);
+  Pending entry;
+  entry.id = req.id;
+  if (http) entry.http_status = "200 OK";
+  if (!req.ok) {
+    metrics_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+    JobResult rejected;
+    rejected.status = JobStatus::kFailed;
+    rejected.error = req.error;
+    entry.body = serve_response_json(req.id, rejected);
+    if (http) entry.http_status = "400 Bad Request";
+    return entry;
+  }
+  if (req.metrics) {
+    entry.metrics = true;
+    return entry;
+  }
+  // Admission control. Both bounds are advisory point-in-time reads — two
+  // racing readers may both admit at the edge — which is fine: the bound
+  // exists to stop unbounded queue growth, not to be an exact semaphore.
+  const std::string shed = [&]() -> std::string {
+    if (!limits_.shed) return {};
+    if (QFTO_FAULT_POINT("serve.admit.shed")) {
+      return "injected fault: admission rejected; retry later";
+    }
+    if (limits_.max_inflight > 0 &&
+        metrics_.in_flight.load(std::memory_order_relaxed) >=
+            static_cast<std::int64_t>(limits_.max_inflight)) {
+      return "server at max in-flight jobs (" +
+             std::to_string(limits_.max_inflight) + "); retry later";
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (limits_.max_pending > 0 && jobs_queued_ >= limits_.max_pending) {
+      return "connection at max pending requests (" +
+             std::to_string(limits_.max_pending) +
+             "); read responses before sending more";
+    }
+    return {};
+  }();
+  if (!shed.empty()) {
+    metrics_.shed.fetch_add(1, std::memory_order_relaxed);
+    entry.body = serve_inband_error(req.id, "shed", shed);
+    if (http) entry.http_status = "503 Service Unavailable";
+    return entry;
+  }
+  entry.handle = service_.submit(std::move(req.request), req.submit);
+  metrics_.in_flight.fetch_add(1, std::memory_order_relaxed);
+  return entry;
+}
+
+bool ServeSession::push(Pending entry) {
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return dead_ || queue_.size() < limits_.backlog; });
+    if (!dead_) {
+      if (entry.handle.valid()) ++jobs_queued_;
+      queue_.push_back(std::move(entry));
+      lock.unlock();
+      cv_.notify_all();
+      return true;
+    }
+  }
+  // The writer is gone; nobody will drain this entry.
+  if (entry.handle.valid()) {
+    entry.handle.cancel();
+    metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
+  }
+  return false;
+}
+
+void ServeSession::close() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
+  }
+  cv_.notify_all();
+}
+
+bool ServeSession::drain(const Sink& sink) {
+  for (;;) {
+    Pending entry;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
+      if (queue_.empty()) return true;  // closed and drained
+      entry = std::move(queue_.front());
+      queue_.pop_front();
+      if (entry.handle.valid()) {
+        --jobs_queued_;
+        writing_ = entry.handle;
+      }
+    }
+    cv_.notify_all();  // the reader may be waiting on the backlog bound
+
+    if (entry.handle.valid()) {
+      const JobResult result = entry.handle.wait();
+      metrics_.record_result(result);
+      metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
+      entry.body = serve_response_json(entry.id, result);
+      std::lock_guard<std::mutex> lock(mutex_);
+      writing_ = JobHandle();
+    } else if (entry.metrics) {
+      entry.body = metrics_json(service_, metrics_);
+    }
+    if (!sink(entry.body, entry.http_status)) {
+      // Dead client: fail the reader's pushes, drop the backlog and cancel
+      // its jobs — the pool must not grind through work nobody can receive.
+      std::deque<Pending> orphans;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        dead_ = true;
+        orphans.swap(queue_);
+        jobs_queued_ = 0;
+      }
+      cv_.notify_all();
+      for (Pending& orphan : orphans) {
+        if (orphan.handle.valid()) {
+          orphan.handle.cancel();
+          metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
+        }
+      }
+      return false;
+    }
+    metrics_.responses.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void ServeSession::cancel_all() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (Pending& entry : queue_) {
+    if (entry.handle.valid()) entry.handle.cancel();
+  }
+  if (writing_.valid()) writing_.cancel();
+}
+
 // ---------------------------------------------------------- stdio loop --
 
 int run_serve_loop(std::istream& in, std::ostream& out,
@@ -664,111 +803,23 @@ int run_serve_loop(std::istream& in, std::ostream& out,
   // its job finishes. A single-threaded loop could only emit on the next
   // input line, deadlocking interactive clients that wait for a response
   // before sending the next request.
-  struct Pending {
-    std::string id;
-    JobHandle handle;      // empty when `immediate` carries the response
-    std::string immediate; // pre-formatted response for rejected lines
-    // A metrics request renders when written, not when read, so the
-    // snapshot counts every response written ahead of it.
-    bool metrics = false;
-  };
-  constexpr std::size_t kMaxPending = 256;  // reader back-pressure bound
   ServeMetrics metrics;
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Pending> pending;
-  bool eof = false;
-  bool dead = false;  // `out` failed: the client is gone
-
-  std::thread writer([&]() {
-    for (;;) {
-      Pending entry;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return eof || !pending.empty(); });
-        if (pending.empty()) return;  // eof and drained
-        entry = std::move(pending.front());
-        pending.pop_front();
-      }
-      cv.notify_all();  // reader may be waiting on the back-pressure bound
-      if (entry.handle.valid()) {
-        const JobResult result = entry.handle.wait();
-        metrics.record_result(result);
-        metrics.in_flight.fetch_sub(1, std::memory_order_relaxed);
-        out << serve_response_json(entry.id, result) << '\n' << std::flush;
-      } else if (entry.metrics) {
-        out << metrics_json(service, metrics) << '\n' << std::flush;
-      } else {
-        out << entry.immediate << '\n' << std::flush;
-      }
-      metrics.responses.fetch_add(1, std::memory_order_relaxed);
-      if (!out) {
-        // Broken pipe: stop the reader, stop draining — every job still in
-        // `pending` is cancelled below; finishing them would burn worker
-        // time producing output nobody can receive.
-        std::lock_guard<std::mutex> lock(mutex);
-        dead = true;
-        cv.notify_all();
-        return;
-      }
-    }
+  ServeSession session(service, metrics, ServeSession::Limits{});
+  bool alive = true;
+  std::thread writer([&] {
+    alive = session.drain([&out](const std::string& body, const char*) {
+      out << body << '\n' << std::flush;
+      return static_cast<bool>(out);
+    });
   });
-
   std::string line;
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    metrics.requests.fetch_add(1, std::memory_order_relaxed);
-    ServeRequest req = parse_serve_request(line);
-    metrics.record_request(req);
-    Pending entry;
-    entry.id = req.id;
-    if (!req.ok) {
-      metrics.parse_errors.fetch_add(1, std::memory_order_relaxed);
-      JobResult rejected;
-      rejected.status = JobStatus::kFailed;
-      rejected.error = req.error;
-      entry.immediate = serve_response_json(req.id, rejected);
-    } else if (req.metrics) {
-      entry.metrics = true;
-    } else {
-      entry.handle = service.submit(std::move(req.request), req.submit);
-      metrics.in_flight.fetch_add(1, std::memory_order_relaxed);
-    }
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [&] { return dead || pending.size() < kMaxPending; });
-      if (dead) {
-        // The writer is gone; this entry would never be drained. Cancel its
-        // job (if any) along with the rest below.
-        pending.push_back(std::move(entry));
-        break;
-      }
-      pending.push_back(std::move(entry));
-    }
-    cv.notify_all();
+    if (!session.push(session.admit(line))) break;
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    eof = true;
-  }
-  cv.notify_all();
+  session.close();
   writer.join();
-  // On a dead client the writer exits with `pending` non-empty: cancel every
-  // orphaned job so the pool stops grinding through an unread backlog.
-  bool client_died;
-  std::deque<Pending> orphans;
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    client_died = dead;
-    orphans.swap(pending);
-  }
-  for (Pending& entry : orphans) {
-    if (entry.handle.valid()) {
-      entry.handle.cancel();
-      metrics.in_flight.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  return client_died ? 1 : 0;
+  return alive ? 0 : 1;
 }
 
 }  // namespace qfto

@@ -91,8 +91,12 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <iosfwd>
+#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -121,8 +125,8 @@ struct ServeRequest {
 
 /// Parses one newline-delimited request. Length-bounded end to end: the
 /// input need not be NUL-terminated (socket buffers and string_views are
-/// parsed in place). Exposed for tests; run_serve_loop and the NetServer
-/// are the consumers.
+/// parsed in place). Exposed for tests; ServeSession::admit is the
+/// consumer.
 ServeRequest parse_serve_request(std::string_view line);
 
 /// Formats the response line for a finished (or rejected) request.
@@ -172,13 +176,85 @@ struct ServeMetrics {
 std::string metrics_json(const MappingService& service,
                          const ServeMetrics& metrics);
 
-/// Reads requests from `in` until EOF, submits each to `service`, and
-/// streams responses to `out` in request order (each flushed as its job
-/// completes). Blank lines are skipped; per-request failures are reported
-/// in-band as {"ok":false,...} responses. Returns 0 on clean EOF. When `out`
-/// fails (dead client / broken pipe), the loop stops reading, cancels every
-/// still-pending job and returns 1 — a dead consumer must not keep the
-/// service grinding through its backlog.
+/// One client's response stream, the protocol core both front-ends share:
+/// run_serve_loop holds one session and every NetServer connection holds
+/// one. A reader thread admit()s each request and push()es the entry; a
+/// writer thread drain()s the queue in request order, waiting on each job
+/// and writing its response through the front-end's sink. Admission follows
+/// CHC-COMP's resource-limited well-formedness: past a limit a request is
+/// shed in-band, and the queue never grows without bound.
+class ServeSession {
+ public:
+  /// The stdio loop runs the defaults (never sheds, reader blocks at 256
+  /// queued responses); NetServer sets its own from NetServer::Options.
+  struct Limits {
+    /// Admission control: shed past the bounds below (and when the
+    /// serve.admit.shed fault point fires). Off, nothing is ever shed.
+    bool shed = false;
+    std::size_t max_inflight = 0;  // jobs submitted, unanswered; 0 = no bound
+    std::size_t max_pending = 0;   // jobs queued in this session; 0 = no bound
+    std::size_t backlog = 256;     // push() blocks at this many queued entries
+  };
+
+  /// One queued response: a job to wait on, a metrics snapshot rendered when
+  /// written (so it counts every response written ahead of it), or a
+  /// pre-formatted `body`. `http_status` is set when the response goes out
+  /// as an HTTP reply.
+  struct Pending {
+    std::string body;
+    const char* http_status = nullptr;
+    std::string id = "null";  // echoed in a job's response
+    JobHandle handle;
+    bool metrics = false;
+  };
+
+  /// Writes one response body; false when the client is gone.
+  using Sink =
+      std::function<bool(const std::string& body, const char* http_status)>;
+
+  ServeSession(MappingService& service, ServeMetrics& metrics, Limits limits)
+      : service_(service), metrics_(metrics), limits_(limits) {}
+
+  /// Parses and counts one request payload: a parse error or a shed answers
+  /// in-band, a metrics request is marked, anything else is submitted.
+  /// `http` frames the entry as an HTTP reply (200, 400 or 503).
+  Pending admit(std::string_view payload, bool http = false);
+
+  /// Queues `entry`, blocking while `backlog` entries are queued. False, with
+  /// the entry's job cancelled, once the client is dead.
+  bool push(Pending entry);
+
+  /// No more pushes: drain() returns once the queue is empty.
+  void close();
+
+  /// Writes every queued response through `sink`, in order, until close()
+  /// and an empty queue (true). On a failed write the client is dead: every
+  /// queued job is cancelled, later pushes fail, and drain returns false.
+  bool drain(const Sink& sink);
+
+  /// Cancels every queued job and the one drain() is waiting on.
+  void cancel_all();
+
+ private:
+  MappingService& service_;
+  ServeMetrics& metrics_;
+  const Limits limits_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<Pending> queue_;    // response order
+  std::size_t jobs_queued_ = 0;  // entries in queue_ that carry a job
+  JobHandle writing_;            // the job drain() is waiting on
+  bool closed_ = false;
+  bool dead_ = false;  // a write failed: the client is gone
+};
+
+/// Reads requests from `in` until EOF into a ServeSession with the default
+/// limits, and streams responses to `out` in request order (each flushed as
+/// its job completes). Blank lines are skipped; per-request failures are
+/// reported in-band as {"ok":false,...} responses. Returns 0 on clean EOF.
+/// When `out` fails (dead client / broken pipe), every still-pending job is
+/// cancelled, the loop stops at the next line it reads and returns 1 — a
+/// dead consumer must not keep the service grinding through its backlog.
 int run_serve_loop(std::istream& in, std::ostream& out,
                    MappingService& service);
 

@@ -469,11 +469,30 @@ TEST(ResultCache, Version4FileFailsTheMagicCheckAndTheServiceStartsCold) {
      << qasm << "\nend\n";
   std::string error;
   EXPECT_FALSE(service.cache().load(v4, &error));
-  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  EXPECT_EQ(error,
+            "cache load: file is qftmap-cache version 4, this build reads "
+            "version 5");
   EXPECT_EQ(service.cache_stats().entries, 0u);
   const JobResult cold = service.submit({"lnn", 2, MapOptions{}}).wait();
   ASSERT_TRUE(cold.ok()) << cold.error;
   EXPECT_FALSE(cold.cache_hit);
+}
+
+TEST(ResultCache, ForeignFirstLineFailsTheMagicCheck) {
+  ResultCache cache(16);
+  for (const char* first : {"", "not a cache file", "qftmap-cache",
+                            "qftmap-cache ", "qftmap-cache 5x",
+                            "qftmap-cache v4", "qftmap-cachet 5"}) {
+    std::istringstream in(std::string(first) + "\nentry\n");
+    std::string error;
+    EXPECT_FALSE(cache.load(in, &error)) << first;
+    EXPECT_EQ(error, "cache load: bad magic (not a qftmap cache file?)")
+        << first;
+  }
+  std::istringstream empty("");
+  std::string error;
+  EXPECT_FALSE(cache.load(empty, &error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
 }
 
 TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
@@ -815,6 +834,35 @@ TEST(Serve, PipelinedMetricsCountResponsesWrittenAheadOfIt) {
   EXPECT_NE(lines[1].find("\"map_seconds\":{\"count\":1,"),
             std::string::npos)
       << lines[1];
+}
+
+TEST(Serve, StdioNeverShedsPastTheBacklogBound) {
+  // 300 requests is past the stdio reader's 256-entry back-pressure bound
+  // and past the socket front-end's default max_pending_per_conn. Over
+  // stdio the reader blocks instead of shedding: every request is answered,
+  // in order.
+  constexpr int kRequests = 300;
+  std::string input;
+  for (int i = 0; i < kRequests; ++i) {
+    input += "{\"id\":" + std::to_string(i) +
+             ",\"engine\":\"lnn\",\"n\":4}\n";
+  }
+  std::istringstream in(input);
+  std::ostringstream out;
+  MappingService service{service_options(1)};
+  EXPECT_EQ(run_serve_loop(in, out, service), 0);
+
+  std::vector<std::string> lines;
+  std::istringstream reread(out.str());
+  for (std::string line; std::getline(reread, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string& line = lines[static_cast<std::size_t>(i)];
+    EXPECT_EQ(line.rfind("{\"id\":" + std::to_string(i) + ",\"ok\":true", 0),
+              0u)
+        << line;
+    EXPECT_EQ(line.find("\"shed\""), std::string::npos) << line;
+  }
 }
 
 TEST(Serve, DeadClientStopsTheLoopAndCancelsTheBacklog) {

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -366,6 +368,74 @@ TEST(Transport, MetricsMatchCacheStatsOverBothProtocols) {
   }
   const std::string body = read_line(http_reader);
   EXPECT_NE(body.find(cache_doc), std::string::npos) << body;
+}
+
+// ------------------------------------------------------ stdio vs socket --
+
+// Masks the fields that time the run rather than describe it: the three
+// per-response seconds, the metrics histograms' quantiles, and the metrics
+// `running` count (a worker leaves the running list just after its job's
+// result is delivered, so a snapshot may still see it).
+std::string mask_timings(const std::string& line) {
+  static const std::regex seconds(
+      "(\"(?:map|check|queue)_seconds\":)[-+.0-9eE]+");
+  static const std::regex quantiles("(\"p(?:50|99)\":)[-+.0-9eE]+");
+  static const std::regex running("(\"running\":)[0-9]+");
+  std::string out = std::regex_replace(line, seconds, "$1#");
+  out = std::regex_replace(out, quantiles, "$1#");
+  return std::regex_replace(out, running, "$1#");
+}
+
+TEST(Transport, StdioAndSocketAnswerOneScriptByteForByte) {
+  // A cold request, its hit, a snapped hit (12 snaps to the lattice's 16),
+  // an unknown engine, a malformed line, a blank line, and a metrics request
+  // pipelined behind the jobs. One worker per service keeps the cache hits
+  // deterministic.
+  const std::string script =
+      "{\"id\":1,\"engine\":\"lattice\",\"n\":16}\n"
+      "{\"id\":2,\"engine\":\"lattice\",\"n\":16}\n"
+      "{\"id\":3,\"engine\":\"lattice\",\"n\":12}\n"
+      "{\"id\":4,\"engine\":\"nosuch\",\"n\":4}\n"
+      "{\"id\":5,\"bad\"\n"
+      "\n"
+      "{\"id\":6,\"metrics\":true}\n";
+  constexpr std::size_t kResponses = 6;
+
+  std::vector<std::string> stdio;
+  {
+    MappingService service{service_options(1)};
+    std::istringstream in(script);
+    std::ostringstream out;
+    ASSERT_EQ(run_serve_loop(in, out, service), 0);
+    std::istringstream reread(out.str());
+    for (std::string line; std::getline(reread, line);) {
+      stdio.push_back(mask_timings(line));
+    }
+  }
+
+  std::vector<std::string> socket;
+  {
+    MappingService service{service_options(1)};
+    NetServer server(service, loopback());
+    server.start();
+    Socket sock = connect_to(server);
+    LineReader reader(sock);
+    ASSERT_TRUE(sock.send_all(script));
+    for (std::size_t i = 0; i < kResponses; ++i) {
+      socket.push_back(mask_timings(read_line(reader)));
+    }
+  }
+
+  ASSERT_EQ(stdio.size(), kResponses);
+  EXPECT_NE(stdio[1].find("\"cache_hit\":true"), std::string::npos)
+      << stdio[1];
+  EXPECT_NE(stdio[2].find("\"requested_n\":12,\"n\":16,"), std::string::npos)
+      << stdio[2];
+  EXPECT_NE(stdio[4].find("parse error"), std::string::npos) << stdio[4];
+  EXPECT_NE(stdio[5].find("\"responses\":5,"), std::string::npos) << stdio[5];
+  for (std::size_t i = 0; i < kResponses; ++i) {
+    EXPECT_EQ(stdio[i], socket[i]) << "response " << i;
+  }
 }
 
 TEST(Transport, HttpPostMapAndErrorStatuses) {
