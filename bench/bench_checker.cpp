@@ -7,7 +7,7 @@
 //                        (check_qft_mapping).
 //   schedule_model     — schedule_asap devirtualized through LatencyModel.
 // plus map_fused (map + fused emit audit through the pipeline) on lattice at
-// device scale.
+// device scale, which also reports the result's store bytes per gate.
 //
 // Throughput is reported as items/sec where an item is one gate.
 #include <benchmark/benchmark.h>
@@ -90,15 +90,24 @@ void BM_ScheduleModel(benchmark::State& state, const std::string& engine,
 // the scale smoke asserts interactive). Unlike the families above, there is
 // no cached circuit — each iteration pays emission, page faults and the fused
 // audit, exactly as a fresh `map_qft` call does. items = gates produced.
+//
+// store_bytes_per_gate is the result's gate store (Circuit::store_bytes) over
+// its gate count: a function of the code, not the machine, pinned in
+// bench/ledger/BENCH_checker_counters.json.
 void BM_MapFused(benchmark::State& state, const std::string& engine, int n) {
   std::int64_t gates = 0;
+  double store_bytes_per_gate = 0.0;
   for (auto _ : state) {
     const MapResult r = MapperPipeline::global().run(engine, n, MapOptions{});
     if (!r.check.ok) state.SkipWithError(r.check.error.c_str());
     gates = r.check.counts.total();
+    store_bytes_per_gate =
+        static_cast<double>(r.mapped.circuit.store_bytes()) /
+        static_cast<double>(r.mapped.circuit.size());
     benchmark::DoNotOptimize(r.check.depth);
   }
   state.SetItemsProcessed(state.iterations() * gates);
+  state.counters["store_bytes_per_gate"] = store_bytes_per_gate;
 }
 
 const int register_all = [] {

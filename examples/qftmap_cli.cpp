@@ -534,7 +534,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
         return 1;
       }
-      f << to_qasm(result.mapped);
+      write_qasm(f, result.mapped);
+      f.close();
+      if (!f) {
+        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        return 1;
+      }
       if (!quiet) std::printf("wrote          : %s\n", out_path.c_str());
     }
     return 0;

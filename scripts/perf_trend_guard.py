@@ -28,18 +28,31 @@ Noise guard: series must regress against the *ratio* threshold; absolute
 items/sec are machine-dependent and never compared across machines here
 because both sides ran on the same runner pool.
 
-Counter ledger: SABRE's route_qft/* and route_circuit/* work counters
-(passes, blocked_steps, rebuilt_steps, deltas_computed, swaps) are a
-function of the code and the inputs, not of the machine, so they are pinned
-in bench/ledger/BENCH_sabre_counters.json and compared exactly. Any counter
-that differs from the ledger, and any such benchmark missing from either
-side, fails the guard, with or without a baseline artifact. A change that
-alters SABRE's work on purpose re-records the ledger:
+Counter ledgers: some benchmarks report counters that are a function of the
+code and the inputs, not of the machine. They are pinned in bench/ledger/
+and compared exactly:
+
+  * BENCH_sabre_counters.json   — SABRE's route_qft/* and route_circuit/*
+    work counters (passes, blocked_steps, rebuilt_steps, deltas_computed,
+    swaps);
+  * BENCH_checker_counters.json — bench_checker's map_fused/* gate-store
+    footprint (store_bytes_per_gate: 8 while every mapped gate packs into
+    one word).
+
+Any counter that differs from its ledger, and any such benchmark missing
+from either side, fails the guard, with or without a baseline artifact. A
+change that alters this work on purpose re-records the ledger from a run of
+the benchmark binary:
 
     ./build/bench_sabre --benchmark_filter='^route_(qft|circuit)/' \
         --benchmark_min_time=0.05 --benchmark_out=BENCH_sabre.json \
         --benchmark_out_format=json
     python3 scripts/perf_trend_guard.py --record-counters BENCH_sabre.json
+
+    ./build/bench_checker --benchmark_filter='^map_fused/' \
+        --benchmark_min_time=0.05 --benchmark_out=BENCH_checker.json \
+        --benchmark_out_format=json
+    python3 scripts/perf_trend_guard.py --record-counters BENCH_checker.json
 """
 
 import argparse
@@ -83,48 +96,66 @@ def load_series(path, prefixes):
     return series
 
 
-# The deterministic SABRE work counters and the benchmarks that report them.
-COUNTER_FILE = "BENCH_sabre.json"
-COUNTER_NAMES = re.compile(r"^route_(qft|circuit)/")
-COUNTERS = ("passes", "blocked_steps", "rebuilt_steps", "deltas_computed",
-            "swaps")
-LEDGER = os.path.normpath(os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "ledger",
-    "BENCH_sabre_counters.json"))
+# Counter ledgers: (benchmark output file, names whose counters are pinned,
+# counters, ledger file under bench/ledger/).
+COUNTER_LEDGERS = [
+    ("BENCH_sabre.json", re.compile(r"^route_(qft|circuit)/"),
+     ("passes", "blocked_steps", "rebuilt_steps", "deltas_computed", "swaps"),
+     "BENCH_sabre_counters.json"),
+    ("BENCH_checker.json", re.compile(r"^map_fused/"),
+     ("store_bytes_per_gate",), "BENCH_checker_counters.json"),
+]
+LEDGER_DIR = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "ledger"))
 
 
-def load_counters(path):
-    """name -> {counter: int} for the counter benchmarks in one JSON file."""
+def exact(value):
+    """A counter as the ledger stores it: integral values as ints."""
+    value = float(value)
+    return int(value) if value.is_integer() else value
+
+
+def load_counters(path, names, counters):
+    """name -> {counter: value} for the pinned benchmarks in one JSON file."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     series = {}
     for b in doc.get("benchmarks", []):
         name = b.get("name", "")
-        if b.get("run_type") == "aggregate" or not COUNTER_NAMES.match(name):
+        if b.get("run_type") == "aggregate" or not names.match(name):
             continue
-        series[name] = {c: int(round(b[c])) for c in COUNTERS if c in b}
+        series[name] = {c: exact(b[c]) for c in counters if c in b}
     return series
 
 
-def record_counters(bench_path, ledger_path):
-    series = load_counters(bench_path)
-    if not series:
-        print(f"perf-guard: {bench_path} holds no route_qft/route_circuit "
-              f"benchmarks")
+def record_counters(bench_path):
+    for fname, names, counters, ledger in COUNTER_LEDGERS:
+        if os.path.basename(bench_path) == fname:
+            break
+    else:
+        known = ", ".join(entry[0] for entry in COUNTER_LEDGERS)
+        print(f"perf-guard: {bench_path}: no counter ledger for this file "
+              f"(known: {known})")
         return 1
+    series = load_counters(bench_path, names, counters)
+    if not series:
+        print(f"perf-guard: {bench_path} holds no benchmark matching "
+              f"{names.pattern}")
+        return 1
+    ledger_path = os.path.join(LEDGER_DIR, ledger)
     with open(ledger_path, "w", encoding="utf-8") as f:
-        json.dump({"counters": list(COUNTERS), "benchmarks": series}, f,
+        json.dump({"counters": list(counters), "benchmarks": series}, f,
                   indent=2, sort_keys=True)
         f.write("\n")
     print(f"perf-guard: wrote {len(series)} benchmarks to {ledger_path}")
     return 0
 
 
-def check_counters(cur_path, ledger_path):
-    """Mismatches between this run's SABRE counters and the ledger."""
+def check_counters(cur_path, names, counters, ledger_path):
+    """Mismatches between this run's counters and the ledger."""
     with open(ledger_path, "r", encoding="utf-8") as f:
         ledger = json.load(f)["benchmarks"]
-    cur = load_counters(cur_path)
+    cur = load_counters(cur_path, names, counters)
     problems = []
     for name in sorted(set(ledger) | set(cur)):
         if name not in cur:
@@ -133,14 +164,14 @@ def check_counters(cur_path, ledger_path):
         if name not in ledger:
             problems.append(f"{name}: not in the ledger")
             continue
-        for c in COUNTERS:
+        for c in counters:
             want, got = ledger[name].get(c), cur[name].get(c)
             if want != got:
                 problems.append(f"{name}: {c} {want} in the ledger, {got} "
                                 f"in this run")
     status = "DIFFERS" if problems else "ok"
-    print(f"perf-guard: SABRE counters of {len(cur)} benchmarks against "
-          f"the ledger [{status}]")
+    print(f"perf-guard: {os.path.basename(ledger_path)}: counters of "
+          f"{len(cur)} benchmarks against the ledger [{status}]")
     return problems
 
 
@@ -153,20 +184,23 @@ def main():
                     help="directory holding the previous run's artifact")
     ap.add_argument("--threshold", type=float, default=0.20,
                     help="max allowed fractional regression (default 0.20)")
-    ap.add_argument("--record-counters", metavar="BENCH_SABRE_JSON",
-                    help="write the counters of this bench_sabre output to "
-                         "bench/ledger/BENCH_sabre_counters.json and exit")
+    ap.add_argument("--record-counters", metavar="BENCH_JSON",
+                    help="write the pinned counters of this BENCH_sabre.json "
+                         "or BENCH_checker.json to its ledger under "
+                         "bench/ledger/ and exit")
     args = ap.parse_args()
     if args.record_counters:
-        return record_counters(args.record_counters, LEDGER)
+        return record_counters(args.record_counters)
     if not args.current or not args.baseline:
         ap.error("--current and --baseline are required")
 
     regressions = []
-    cur_counters = os.path.join(args.current, COUNTER_FILE)
-    if os.path.exists(cur_counters):
-        for p in check_counters(cur_counters, LEDGER):
-            regressions.append(f"SABRE work counters: {p}")
+    for fname, names, counters, ledger in COUNTER_LEDGERS:
+        cur_counters = os.path.join(args.current, fname)
+        if os.path.exists(cur_counters):
+            for p in check_counters(cur_counters, names, counters,
+                                    os.path.join(LEDGER_DIR, ledger)):
+                regressions.append(f"{ledger} counters: {p}")
     compared = 0
     for fname, prefixes, label, threshold in GUARDS:
         if threshold is None:

@@ -43,15 +43,17 @@ inline constexpr std::int32_t kMaxQubits = (1 << 27) - 1;
 /// the unitary is symmetric, so checkers can report the paper's G(Qi, Qj)
 /// orientation.
 ///
-/// Packed into 16 bytes: `kind` and `q0` share one 32-bit word (4 + 28
-/// bits), so a QFT-n gate stream of Θ(n²) gates costs 16 B per gate instead
-/// of the 24 B a padded layout takes. Circuit bounds its wire count by
-/// kMaxQubits, so q0 never truncates.
+/// Gate is the API's value type, packed into 16 bytes: `kind` and `q0` share
+/// one 32-bit word (4 + 28 bits). Circuit does not store Gates: it encodes
+/// each into an 8-byte word on append and decodes it on read (layout in
+/// circuit.hpp), keeping a whole Gate only for the rare gate whose fields do
+/// not fit a word. Circuit bounds its wire count by kMaxQubits, so q0 never
+/// truncates.
 ///
 /// Deliberately no default member initializers: every Gate is built through
 /// the factories below (which set all four fields), and keeping the type
-/// trivially default-constructible lets Circuit allocate a device-scale gate
-/// store (GBs at QFT-8192) without an up-front zero/fill pass over it.
+/// trivially default-constructible keeps decode and the side table free of
+/// an up-front zero/fill pass.
 struct Gate {
   GateKind kind : 4;
   std::int32_t q0 : 28;

@@ -1,67 +1,94 @@
 #include "qasm/qasm.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 namespace qfto {
 
 namespace {
 
-std::string fmt_angle(double a) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", a);
-  return buf;
+/// Appends `v` in decimal, as std::to_string writes it.
+char* put_int(char* p, char* end, std::int32_t v) {
+  return std::to_chars(p, end, v).ptr;
+}
+
+char* put_str(char* p, const char* s) {
+  const std::size_t len = std::strlen(s);
+  std::memcpy(p, s, len);
+  return p + len;
+}
+
+/// Appends `a` as "%.17g" writes it: enough digits to re-read it exactly.
+char* put_angle(char* p, char* end, double a) {
+  const int len = std::snprintf(p, static_cast<std::size_t>(end - p), "%.17g", a);
+  return p + len;
 }
 
 }  // namespace
 
-std::string to_qasm(const Circuit& c) {
-  std::string out;
-  out += "OPENQASM 2.0;\n";
-  out += "include \"qelib1.inc\";\n";
-  out += "qreg q[" + std::to_string(c.num_qubits()) + "];\n";
-  for (const auto& g : c) {
+void write_qasm(std::ostream& out, const Circuit& c) {
+  out << "OPENQASM 2.0;\n"
+      << "include \"qelib1.inc\";\n"
+      << "qreg q[" << c.num_qubits() << "];\n";
+  // One line per gate, formatted into a stack buffer: the text never exists
+  // whole in memory, so exporting a device-scale circuit costs its file, not
+  // a second copy of it in RAM.
+  char line[128];
+  char* const end = line + sizeof(line);
+  for (const Gate g : c) {
+    char* p = line;
     switch (g.kind) {
-      case GateKind::kH:
-        out += "h q[" + std::to_string(g.q0) + "];\n";
-        break;
-      case GateKind::kX:
-        out += "x q[" + std::to_string(g.q0) + "];\n";
-        break;
+      case GateKind::kH: p = put_str(p, "h q["); break;
+      case GateKind::kX: p = put_str(p, "x q["); break;
       case GateKind::kRz:
-        out += "rz(" + fmt_angle(g.angle) + ") q[" + std::to_string(g.q0) +
-               "];\n";
+        p = put_str(p, "rz(");
+        p = put_angle(p, end, g.angle);
+        p = put_str(p, ") q[");
         break;
       case GateKind::kCPhase:
-        out += "cu1(" + fmt_angle(g.angle) + ") q[" + std::to_string(g.q0) +
-               "],q[" + std::to_string(g.q1) + "];\n";
+        p = put_str(p, "cu1(");
+        p = put_angle(p, end, g.angle);
+        p = put_str(p, ") q[");
         break;
-      case GateKind::kSwap:
-        out += "swap q[" + std::to_string(g.q0) + "],q[" +
-               std::to_string(g.q1) + "];\n";
-        break;
-      case GateKind::kCnot:
-        out += "cx q[" + std::to_string(g.q0) + "],q[" +
-               std::to_string(g.q1) + "];\n";
-        break;
+      case GateKind::kSwap: p = put_str(p, "swap q["); break;
+      case GateKind::kCnot: p = put_str(p, "cx q["); break;
     }
+    p = put_int(p, end, g.q0);
+    if (g.two_qubit()) {
+      p = put_str(p, "],q[");
+      p = put_int(p, end, g.q1);
+    }
+    p = put_str(p, "];\n");
+    out.write(line, p - line);
   }
-  return out;
+}
+
+void write_qasm(std::ostream& out, const MappedCircuit& mc) {
+  out << "// qfto mapped circuit\n// initial mapping (logical->physical):";
+  for (std::size_t l = 0; l < mc.initial.size(); ++l) {
+    out << ' ' << l << "->" << mc.initial[l];
+  }
+  out << "\n// final mapping (logical->physical):";
+  for (std::size_t l = 0; l < mc.final_mapping.size(); ++l) {
+    out << ' ' << l << "->" << mc.final_mapping[l];
+  }
+  out << '\n';
+  write_qasm(out, mc.circuit);
+}
+
+std::string to_qasm(const Circuit& c) {
+  std::ostringstream out;
+  write_qasm(out, c);
+  return out.str();
 }
 
 std::string to_qasm(const MappedCircuit& mc) {
-  std::string out = "// qfto mapped circuit\n// initial mapping (logical->physical):";
-  for (std::size_t l = 0; l < mc.initial.size(); ++l) {
-    out += " " + std::to_string(l) + "->" + std::to_string(mc.initial[l]);
-  }
-  out += "\n// final mapping (logical->physical):";
-  for (std::size_t l = 0; l < mc.final_mapping.size(); ++l) {
-    out += " " + std::to_string(l) + "->" + std::to_string(mc.final_mapping[l]);
-  }
-  out += "\n";
-  out += to_qasm(mc.circuit);
-  return out;
+  std::ostringstream out;
+  write_qasm(out, mc);
+  return out.str();
 }
 
 namespace {

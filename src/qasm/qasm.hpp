@@ -5,6 +5,7 @@
 // the mappers emit.
 #pragma once
 
+#include <ostream>
 #include <string>
 
 #include "circuit/circuit.hpp"
@@ -12,13 +13,18 @@
 
 namespace qfto {
 
-/// OpenQASM 2.0 text for a circuit over one register q[0..n).
-std::string to_qasm(const Circuit& c);
+/// Writes OpenQASM 2.0 text for a circuit over one register q[0..n), a line
+/// at a time: the text is never held whole in memory.
+void write_qasm(std::ostream& out, const Circuit& c);
 
 /// Adds the initial/final mapping as comments so the file is self-contained.
+void write_qasm(std::ostream& out, const MappedCircuit& mc);
+
+/// The same text as a string (small circuits, tests).
+std::string to_qasm(const Circuit& c);
 std::string to_qasm(const MappedCircuit& mc);
 
-/// Parses the subset emitted by to_qasm (OPENQASM 2.0; qelib1.inc; gates
+/// Parses the subset emitted by write_qasm (OPENQASM 2.0; qelib1.inc; gates
 /// h, x, rz, cu1/cp, swap, cx on a single register; `barrier` with or
 /// without an operand list). Throws std::invalid_argument with a line
 /// number on malformed input — that is the only exception this parser may

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "arch/latency_model.hpp"
@@ -192,6 +194,170 @@ TEST(GatePacking, StoreKeepsEveryGateThroughCopyMoveExtendAndGrowth) {
   empty.shrink_to_fit();
   EXPECT_EQ(empty.capacity(), 0u);
   EXPECT_EQ(empty.begin(), empty.end());
+}
+
+// --------------------------------------------------- packed word store --
+
+bool same_bits(const Gate& a, const Gate& b) {
+  return a.kind == b.kind && a.q0 == b.q0 && a.q1 == b.q1 &&
+         angle_bits(a.angle) == angle_bits(b.angle);
+}
+
+/// Whether a gate fits one 8-byte word, decided from the layout's rule
+/// rather than from the encoder: qubits below 2^20 - 1 (q1 may also be
+/// kInvalidQubit) and an angle of ±0.0 or ±ldexp(π, -k), 0 <= k < 2048.
+bool packs(const Gate& g) {
+  constexpr std::int32_t kLimit = (1 << 20) - 1;
+  if (g.q0 >= kLimit || (g.q1 != kInvalidQubit && (g.q1 < 0 || g.q1 >= kLimit))) {
+    return false;
+  }
+  const std::uint64_t magnitude = angle_bits(std::fabs(g.angle));
+  if (magnitude == 0) return true;
+  for (int k = 0; k < 2048; ++k) {
+    if (angle_bits(std::ldexp(M_PI, -k)) == magnitude) return true;
+  }
+  return false;
+}
+
+std::size_t expected_store_bytes(const std::vector<Gate>& gates) {
+  std::size_t bytes = 0;
+  for (const Gate& g : gates) bytes += packs(g) ? 8 : 24;
+  return bytes;
+}
+
+void expect_gates(const Circuit& c, const std::vector<Gate>& want,
+                  const std::string& where) {
+  ASSERT_EQ(c.size(), want.size()) << where;
+  std::size_t i = 0;
+  for (const Gate got : c) {
+    ASSERT_TRUE(same_bits(got, want[i])) << where << ": gate " << i << " "
+                                         << got.to_string() << " vs "
+                                         << want[i].to_string();
+    ASSERT_TRUE(same_bits(c[i], want[i])) << where << ": operator[] " << i;
+    ++i;
+  }
+}
+
+/// Every kind over the qubit boundaries of the word layout (0, 2^20 - 2,
+/// 2^20 - 1, kMaxQubits - 1, and kInvalidQubit as q1 of a 1q gate) and the
+/// angles it packs and escapes.
+std::vector<Gate> boundary_gates() {
+  const std::uint64_t nan_bits = 0x7ff8'0000'0000'1234ull;
+  double nan_payload = 0.0;
+  std::memcpy(&nan_payload, &nan_bits, sizeof(nan_payload));
+  std::vector<double> angles = {+0.0, -0.0, 1.0 / 3.0, nan_payload,
+                                HUGE_VAL, -HUGE_VAL};
+  for (const int k : {0, 1, 52, 1022, 1023, 1074, 2047}) {
+    angles.push_back(std::ldexp(M_PI, -k));
+    angles.push_back(-std::ldexp(M_PI, -k));
+  }
+  const std::int32_t qubits[] = {0, (1 << 20) - 2, (1 << 20) - 1,
+                                 kMaxQubits - 1};
+  std::vector<Gate> out;
+  for (std::size_t k = 0; k < kGateKindCount; ++k) {
+    const auto kind = static_cast<GateKind>(k);
+    for (const std::int32_t q0 : qubits) {
+      std::vector<std::int32_t> partners(std::begin(qubits), std::end(qubits));
+      if (!is_two_qubit(kind)) partners.push_back(kInvalidQubit);
+      for (const std::int32_t q1 : partners) {
+        if (is_two_qubit(kind) && q1 == q0) continue;
+        for (const double angle : angles) {
+          out.push_back(Gate{kind, q0, q1, angle});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(CircuitStore, EveryBoundaryCaseRoundTripsBitExactly) {
+  const std::vector<Gate> gates = boundary_gates();
+  std::size_t escaped = 0;
+  for (const Gate& g : gates) escaped += packs(g) ? 0 : 1;
+  ASSERT_GT(escaped, 0u);
+  ASSERT_LT(escaped, gates.size());
+
+  // Append past a reservation, then trim.
+  Circuit c(kMaxQubits);
+  c.reserve(gates.size() / 3);
+  for (const Gate& g : gates) c.append(g);
+  expect_gates(c, gates, "appended");
+  c.shrink_to_fit();
+  EXPECT_EQ(c.store_bytes(), expected_store_bytes(gates));
+  expect_gates(c, gates, "trimmed");
+
+  const Circuit copy = c;
+  expect_gates(copy, gates, "copy");
+  EXPECT_EQ(copy.store_bytes(), expected_store_bytes(gates));
+
+  Circuit moved = std::move(c);
+  expect_gates(moved, gates, "moved");
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.store_bytes(), 0u) << "a moved-from circuit holds nothing";
+  c = copy;  // a moved-from circuit is reusable
+  expect_gates(c, gates, "reassigned");
+
+  // extend with escaped gates on both sides: the second half's side-table
+  // indices move past the first half's.
+  const std::size_t half = gates.size() / 2;
+  Circuit front(kMaxQubits), back(kMaxQubits);
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    (i < half ? front : back).append(gates[i]);
+  }
+  front.extend(back);
+  expect_gates(front, gates, "extended");
+  expect_gates(back, std::vector<Gate>(gates.begin() + half, gates.end()),
+               "extend source");
+
+  std::vector<Gate> twice = gates;
+  twice.insert(twice.end(), gates.begin(), gates.end());
+  moved.extend(moved);
+  expect_gates(moved, twice, "self-extended");
+  EXPECT_EQ(moved.fingerprint(), [&] {
+    Circuit fresh(kMaxQubits);
+    for (const Gate& g : twice) fresh.append(g);
+    return fresh.fingerprint();
+  }()) << "the fingerprint reads decoded fields, not the store";
+}
+
+TEST(CircuitStore, EveryPiScaleAndQftAnglePacksInOneWord) {
+  Circuit c(4);
+  std::vector<Gate> want;
+  for (int k = 0; k < 2048; ++k) {
+    for (const double angle : {std::ldexp(M_PI, -k), -std::ldexp(M_PI, -k)}) {
+      want.push_back(Gate::cphase(0, 1, angle));
+      want.push_back(Gate::rz(2, angle));
+    }
+  }
+  for (std::int32_t j = 1; j < 3000; j += 7) {
+    want.push_back(Gate::cphase(0, 3, qft_angle(0, j)));
+  }
+  for (const Gate& g : want) c.append(g);
+  c.shrink_to_fit();
+  expect_gates(c, want, "pi scales");
+  EXPECT_EQ(c.store_bytes(), 8 * want.size());
+  Circuit inv = inverse_circuit(c);
+  inv.shrink_to_fit();
+  EXPECT_EQ(inv.store_bytes(), 8 * want.size())
+      << "negated QFT angles pack too";
+}
+
+TEST(CircuitStore, StoreBytesCountsWordsAndTheSideTable) {
+  Circuit c(3);
+  EXPECT_EQ(c.store_bytes(), 0u);
+  c.append(Gate::h(0));
+  c.append(Gate::swap(0, 1));
+  c.append(Gate::cnot(1, 2));
+  c.append(Gate::x(2));
+  c.append(Gate::cphase(0, 2, M_PI / 4));
+  c.shrink_to_fit();
+  EXPECT_EQ(c.store_bytes(), 5u * 8u);
+  c.append(Gate::rz(1, 0.1));  // an arbitrary rotation escapes
+  c.shrink_to_fit();
+  EXPECT_EQ(c.store_bytes(), 6u * 8u + 16u);
+  EXPECT_DOUBLE_EQ(c[5].angle, 0.1);
+  c.reserve(100);
+  EXPECT_EQ(c.store_bytes(), 100u * 8u + 16u);
 }
 
 TEST(QftSpec, GateCount) {

@@ -14,6 +14,7 @@
 #include "arch/sycamore.hpp"
 #include "circuit/qft_spec.hpp"
 #include "circuit/stats.hpp"
+#include "common/prng.hpp"
 #include "mapper/emitter.hpp"
 #include "mapper/lnn_mapper.hpp"
 #include "mapper/sycamore_mapper.hpp"
@@ -714,6 +715,67 @@ TEST(PipelineReservation, RoutedResultsCarryNoGrowthSlack) {
     EXPECT_EQ(r.mapped.circuit.capacity(), r.mapped.circuit.size())
         << engine << " n=" << n;
   }
+}
+
+// ------------------------------------------------------ packed gate store --
+
+/// Whether an angle fits a store word: ±0.0 or ±ldexp(π, -k), k < 2048.
+bool angle_packs(double angle) {
+  if (angle == 0.0) return true;
+  for (int k = 0; k < 2048; ++k) {
+    if (std::fabs(angle) == std::ldexp(M_PI, -k)) return true;
+  }
+  return false;
+}
+
+TEST(PipelineStore, QftStreamsStoreEightBytesPerGate) {
+  MapOptions opts;
+  opts.verify = false;
+  for (const char* engine : kStructuredEngines) {
+    for (const std::int32_t n : {64, 500}) {
+      const MapResult r = map_qft(engine, n, opts);
+      ASSERT_GT(r.mapped.circuit.size(), 0u) << engine << " n=" << r.n;
+      EXPECT_EQ(r.mapped.circuit.store_bytes(), 8 * r.mapped.circuit.size())
+          << engine << " n=" << r.n;
+    }
+  }
+}
+
+TEST(PipelineStore, SabreResultAccountsForItsEscapes) {
+  // Arbitrary rz angles do not fit a word; π/2^k ones and the SWAPs SABRE
+  // adds do. Every input gate appears once in the routed result.
+  Xoshiro256ss rng(0x8b17e);
+  const std::int32_t n = 16;
+  Circuit logical(n);
+  std::size_t escaped = 0;
+  for (int i = 0; i < 300; ++i) {
+    const auto a = static_cast<std::int32_t>(rng.uniform(n));
+    auto b = static_cast<std::int32_t>(rng.uniform(n - 1));
+    if (b >= a) ++b;
+    switch (rng.uniform(4)) {
+      case 0: {
+        const double angle = rng.uniform(2) == 0
+                                 ? static_cast<double>(rng.uniform(1000)) / 7.0
+                                 : -std::ldexp(M_PI, -static_cast<int>(rng.uniform(40)));
+        escaped += angle_packs(angle) ? 0 : 1;
+        logical.append(Gate::rz(a, angle));
+        break;
+      }
+      case 1: logical.append(Gate::h(a)); break;
+      case 2: logical.append(Gate::cphase(a, b, std::ldexp(M_PI, -3))); break;
+      default: logical.append(Gate::cnot(a, b)); break;
+    }
+  }
+  ASSERT_GT(escaped, 10u);
+  MapOptions opts;
+  opts.sabre.trials = 1;
+  const MapResult r = map_circuit("sabre", logical, opts);
+  ASSERT_TRUE(r.check.ok) << r.check.error;
+  const Circuit& routed = r.mapped.circuit;
+  std::size_t routed_escapes = 0;
+  for (const Gate g : routed) routed_escapes += angle_packs(g.angle) ? 0 : 1;
+  EXPECT_EQ(routed_escapes, escaped);
+  EXPECT_EQ(routed.store_bytes(), 8 * routed.size() + 16 * escaped);
 }
 
 }  // namespace
